@@ -49,7 +49,7 @@ def _consistent_check(doc: Document, corpus: Corpus) -> list[CheckFinding]:
     result = check_consistency(doc)
     if result.consistent:
         return []
-    return [CheckFinding("consistent", doc.filename, "ERROR", [],
+    return [CheckFinding("consistent", doc.filename, "ERROR", list(result.lids),
                          result.message)]
 
 

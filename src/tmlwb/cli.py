@@ -351,7 +351,6 @@ def _execute_check(session: Session, cmd: Command) -> str:
 def run_commands(session: Session, lines, out=None) -> int:
     """Run a sequence of command lines; returns the exit code."""
     out = out or sys.stdout
-    status = 0
     for line in lines:
         try:
             cmd = parse_command(line)
@@ -369,9 +368,7 @@ def run_commands(session: Session, lines, out=None) -> int:
             break
         if output:
             print(output, file=out)
-    if status == 0 and session.error_findings:
-        return 2
-    return status
+    return 2 if session.error_findings else 0
 
 
 def repl(session: Session) -> int:

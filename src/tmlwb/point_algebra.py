@@ -2,8 +2,11 @@
 
 Intervals are split into start/end points and every TLINK becomes one or two
 assertions over those points, using only `<` (before) and `=` (simultaneous).
-An agenda/database worklist then closes the assertion set under the inference
-rules; the document is consistent iff the agenda empties without conflict.
+Following the point algebra of Vilain & Kautz (AAAI 1986), the assertions are
+consistent iff, once union-find has merged the `=` classes, the `<` edges
+between classes form no cycle. An inconsistency is reported with the TLINKs
+whose assertions make up the cycle. The paper's agenda/database closure is
+kept as `oracle_consistency`, the independent reference for tests.
 
 Assertions are plain tuples ``(rel, left, right)`` where rel is "<" or "=",
 and points are ``(interval_id, 1)`` for the start and ``(interval_id, 2)``
@@ -98,89 +101,165 @@ def document_assertions(doc: Document) -> tuple[set[Assertion], list[Assertion]]
 @dataclass
 class ConsistencyResult:
     consistent: bool
-    conflict: Assertion | None
-    processed: int
+    conflict: Assertion | None  # the `<` assertion that closes the cycle
+    processed: int  # assertions examined
+    lids: tuple[str, ...] = ()  # witness TLINKs, in document order
 
     @property
     def message(self) -> str | None:
         if self.consistent:
             return None
-        return f"! Inconsistent closure - could not assert {assertion_text(self.conflict)}"
+        return (f"! Inconsistent closure - could not assert "
+                f"{assertion_text(self.conflict)} - TLINKs {', '.join(self.lids)}")
 
 
-def _conflicts(a: Assertion, seen: set[Assertion]) -> bool:
-    rel, left, right = a
-    if rel == "<":
-        return left == right or ("<", right, left) in seen or _eq(left, right) in seen
-    return ("<", left, right) in seen or ("<", right, left) in seen
+def _find(parent: dict[Point, Point], p: Point) -> Point:
+    """Root of p's `=` class, halving the path on the way."""
+    parent.setdefault(p, p)
+    while parent[p] != p:
+        parent[p] = parent[parent[p]]
+        p = parent[p]
+    return p
 
 
-def _combine(a: Assertion, b: Assertion):
-    """Apply the inference rules to one pair of assertions."""
-    ra, la, ca = a[0], a[1], a[2]
-    rb, lb, cb = b[0], b[1], b[2]
-    if ra == "<" and rb == "<":
-        if ca == lb:
-            yield _lt(la, cb)
-        if cb == la:
-            yield _lt(lb, ca)
-    elif ra == "=" and rb == "=":
-        shared = {la, ca} & {lb, cb}
-        if shared:
-            rest = ({la, ca} | {lb, cb}) - shared
-            if len(rest) == 2:
-                x, y = rest
-                yield _eq(x, y)
-    else:
-        # substitution of equals into an ordering
-        if ra == "=":
-            eq_pts, (lt_l, lt_r) = (la, ca), (lb, cb)
-        else:
-            eq_pts, (lt_l, lt_r) = (lb, cb), (la, ca)
-        p, q = eq_pts
-        if lt_l == p:
-            yield _lt(q, lt_r)
-        elif lt_l == q:
-            yield _lt(p, lt_r)
-        if lt_r == p:
-            yield _lt(lt_l, q)
-        elif lt_r == q:
-            yield _lt(lt_l, p)
+def check_consistency(doc: Document) -> ConsistencyResult:
+    """Merge the `=` classes, then look for a cycle of `<` between them.
+
+    A `<` inside one class is a self-loop, so the cycle search finds it too.
+    Each assertion is examined once. The reported conflict is the cycle's
+    `<` assertion that comes last (interval axioms first, then TLINKs in
+    document order), so the assertions before it rule it out.
+    """
+    axioms, initial = document_assertions(doc)
+    # sorted, and dicts rather than sets below, so that the cycle found and
+    # the message do not depend on string hashing
+    assertions = sorted(axioms) + initial
+    parent: dict[Point, Point] = {}
+    for rel, left, right in assertions:
+        if rel == "=":
+            parent[_find(parent, left)] = _find(parent, right)
+    # class -> {class before it: index of the first `<` assertion between them}
+    preds: dict[Point, dict[Point, int]] = {}
+    for i, (rel, left, right) in enumerate(assertions):
+        if rel == "<":
+            preds.setdefault(_find(parent, right), {}).setdefault(
+                _find(parent, left), i)
+    try:
+        graphlib.TopologicalSorter(preds).prepare()
+    except graphlib.CycleError as exc:
+        cycle = exc.args[1]  # each class before the next; first == last
+        on_cycle = [preds[after][before]
+                    for before, after in zip(cycle, cycle[1:])]
+        return ConsistencyResult(
+            False, assertions[max(on_cycle)], len(assertions),
+            _witness(doc, assertions, [assertions[i] for i in on_cycle]))
+    return ConsistencyResult(True, None, len(assertions))
 
 
-def _tautology(a: Assertion) -> bool:
-    return a[0] == "=" and a[1] == a[2]
+def _witness(doc: Document, assertions: list[Assertion],
+             cycle: list[Assertion]) -> tuple[str, ...]:
+    """TLINKs asserting a `<` cycle and the `=` steps that close it.
+
+    Consecutive `<` assertions meet in one `=` class; the `=` assertions on
+    a shortest path between their meeting points join them.
+    """
+    equal: dict[Point, list[tuple[Point, Assertion]]] = {}
+    for a in assertions:
+        if a[0] == "=":
+            equal.setdefault(a[1], []).append((a[2], a))
+            equal.setdefault(a[2], []).append((a[1], a))
+    used = set(cycle)
+    for (_, _, start), (_, goal, _) in zip(cycle, cycle[1:] + cycle[:1]):
+        came: dict[Point, tuple[Point, Assertion] | None] = {start: None}
+        queue = deque([start])
+        while goal not in came:
+            p = queue.popleft()
+            for q, a in equal.get(p, ()):
+                if q not in came:
+                    came[q] = (p, a)
+                    queue.append(q)
+        p = goal
+        while came[p] is not None:
+            p, a = came[p]
+            used.add(a)
+    producer: dict[Assertion, str] = {}
+    for link in doc.tlinks:
+        for a in tlink_to_assertions(link):
+            producer.setdefault(a, link.lid)
+    wanted = {producer[a] for a in used if a in producer}
+    return tuple(link.lid for link in doc.tlinks if link.lid in wanted)
 
 
-def check_consistency(doc: Document, discipline: str = "fifo") -> ConsistencyResult:
-    """Run the agenda/database closure loop over a document's TLINKs.
+def oracle_consistency(doc: Document, discipline: str = "fifo") -> bool:
+    """The paper's agenda/database closure, kept as the independent
+    reference that tests compare check_consistency against.
 
-    discipline selects where derived assertions join the agenda: "fifo"
-    appends (breadth-first), "lifo" prepends (depth-first). The verdict is
-    the same either way.
+    The closure compares each agenda item with the whole database, so it is
+    roughly cubic in the number of points. discipline selects where derived
+    assertions join the agenda: "fifo" appends (breadth-first), "lifo"
+    prepends (depth-first). The verdict is the same either way.
     """
     if discipline not in ("fifo", "lifo"):
         raise ValueError(f"unknown agenda discipline: {discipline}")
+
+    def tautology(a: Assertion) -> bool:
+        return a[0] == "=" and a[1] == a[2]
+
+    def conflicts(a: Assertion, seen: set[Assertion]) -> bool:
+        rel, left, right = a
+        if rel == "<":
+            return (left == right or ("<", right, left) in seen
+                    or _eq(left, right) in seen)
+        return ("<", left, right) in seen or ("<", right, left) in seen
+
+    def combine(a: Assertion, b: Assertion):
+        """Apply the inference rules to one pair of assertions."""
+        ra, la, ca = a[0], a[1], a[2]
+        rb, lb, cb = b[0], b[1], b[2]
+        if ra == "<" and rb == "<":
+            if ca == lb:
+                yield _lt(la, cb)
+            if cb == la:
+                yield _lt(lb, ca)
+        elif ra == "=" and rb == "=":
+            shared = {la, ca} & {lb, cb}
+            if shared:
+                rest = ({la, ca} | {lb, cb}) - shared
+                if len(rest) == 2:
+                    x, y = rest
+                    yield _eq(x, y)
+        else:
+            # substitution of equals into an ordering
+            if ra == "=":
+                eq_pts, (lt_l, lt_r) = (la, ca), (lb, cb)
+            else:
+                eq_pts, (lt_l, lt_r) = (lb, cb), (la, ca)
+            p, q = eq_pts
+            if lt_l == p:
+                yield _lt(q, lt_r)
+            elif lt_l == q:
+                yield _lt(p, lt_r)
+            if lt_r == p:
+                yield _lt(lt_l, q)
+            elif lt_r == q:
+                yield _lt(lt_l, p)
+
     database, initial = document_assertions(doc)
-    agenda = deque(a for a in initial if not _tautology(a))
+    agenda = deque(a for a in initial if not tautology(a))
     seen = set(database) | set(agenda)
-    processed = 0
     while agenda:
         item = agenda.popleft()
-        processed += 1
         # item cannot be its own conflict partner, so checking against the
         # full seen set is safe
-        if _conflicts(item, seen):
-            return ConsistencyResult(False, item, processed)
+        if conflicts(item, seen):
+            return False
         derived = []
         for existing in database:
-            for new in _combine(item, existing):
-                if _tautology(new) or new in seen:
+            for new in combine(item, existing):
+                if tautology(new) or new in seen:
                     continue
-                if new[0] == "<" and new[1] == new[2]:
-                    return ConsistencyResult(False, new, processed)
-                if _conflicts(new, seen):
-                    return ConsistencyResult(False, new, processed)
+                if conflicts(new, seen):
+                    return False
                 derived.append(new)
                 seen.add(new)
         database.add(item)
@@ -189,43 +268,4 @@ def check_consistency(doc: Document, discipline: str = "fifo") -> ConsistencyRes
                 agenda.append(new)
             else:
                 agenda.appendleft(new)
-    return ConsistencyResult(True, None, processed)
-
-
-def oracle_consistency(doc: Document) -> bool:
-    """Independent verdict: union-find over equalities, cycle check over `<`.
-
-    Used only by tests to validate check_consistency.
-    """
-    axioms, initial = document_assertions(doc)
-    assertions = axioms | set(initial)
-
-    parent: dict[Point, Point] = {}
-
-    def find(p: Point) -> Point:
-        parent.setdefault(p, p)
-        root = p
-        while parent[root] != root:
-            root = parent[root]
-        while parent[p] != root:
-            parent[p], p = root, parent[p]
-        return root
-
-    for rel, left, right in assertions:
-        if rel == "=":
-            rl, rr = find(left), find(right)
-            if rl != rr:
-                parent[rl] = rr
-
-    edges: dict[Point, set[Point]] = {}
-    for rel, left, right in assertions:
-        if rel == "<":
-            rl, rr = find(left), find(right)
-            if rl == rr:
-                return False
-            edges.setdefault(rl, set()).add(rr)
-    try:
-        graphlib.TopologicalSorter(edges).prepare()
-    except graphlib.CycleError:
-        return False
     return True

@@ -75,7 +75,7 @@ class Store:
     def _read_catalog_raw(self) -> dict:
         if not self._catalog_path.exists():
             return {"active": None, "entries": {}}
-        return json.loads(self._catalog_path.read_text(encoding="utf-8"))
+        return _read_json(self._catalog_path)
 
     def _write_catalog_raw(self, raw: dict) -> None:
         tmp = self._catalog_path.with_suffix(".tmp")
@@ -115,9 +115,7 @@ class Store:
         if name not in raw["entries"]:
             available = ", ".join(sorted(raw["entries"])) or "(none)"
             raise StoreError(f"unknown corpus {name!r}; available: {available}")
-        payload = json.loads(
-            (self._corpus_dir(name) / "corpus.json").read_text(encoding="utf-8"))
-        return _corpus_from_json(payload)
+        return _corpus_from_json(_read_json(self._corpus_dir(name) / "corpus.json"))
 
     def use_corpus(self, name: str) -> Corpus:
         """Load a corpus and mark it active for subsequent sessions."""
@@ -152,6 +150,15 @@ class Store:
 
 
 # -- serialization -------------------------------------------------------
+
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise StoreError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:  # undecodable bytes or malformed JSON
+        raise StoreError(f"cannot read {path}: {exc}") from None
+
 
 def _corpus_to_json(corpus: Corpus) -> dict:
     return {

@@ -43,6 +43,54 @@ def random_doc(rng: random.Random, max_intervals=8, max_links=12):
     return make_doc(relations)
 
 
+# whether each relation holds of intervals (s1, e1) and (s2, e2) on a
+# timeline, following the point table of tmlwb.point_algebra
+_HOLDS = {
+    "BEFORE": lambda s1, e1, s2, e2: e1 < s2,
+    "AFTER": lambda s1, e1, s2, e2: e2 < s1,
+    "IBEFORE": lambda s1, e1, s2, e2: e1 == s2,
+    "IAFTER": lambda s1, e1, s2, e2: e2 == s1,
+    "INCLUDES": lambda s1, e1, s2, e2: s1 < s2 and e2 < e1,
+    "IS_INCLUDED": lambda s1, e1, s2, e2: s2 < s1 and e1 < e2,
+    "BEGINS": lambda s1, e1, s2, e2: s1 == s2 and e1 < e2,
+    "BEGUN_BY": lambda s1, e1, s2, e2: s1 == s2 and e2 < e1,
+    "ENDS": lambda s1, e1, s2, e2: e1 == e2 and s2 < s1,
+    "ENDED_BY": lambda s1, e1, s2, e2: e1 == e2 and s1 < s2,
+    **dict.fromkeys(("SIMULTANEOUS", "IDENTITY", "DURING", "DURING_INV"),
+                    lambda s1, e1, s2, e2: s1 == s2 and e1 == e2),
+}
+
+
+def random_timeline_doc(rng: random.Random, max_intervals=10, max_links=16,
+                        plant=False):
+    """(document, planted lid or None). Intervals are drawn on a hidden
+    timeline with few distinct instants, so that many endpoints coincide,
+    and every TLINK states a relation that holds there: the document is
+    consistent by construction. With plant, one TLINK is appended that
+    gives a pair of intervals a relation that does not hold. Each relation
+    pins down one Allen relation, so the planted link contradicts the link
+    on the same pair that it was drawn against."""
+    timeline = {}
+    for i in range(rng.randint(1, max_intervals)):
+        start = rng.randint(0, 5)
+        timeline[f"ei{i}"] = (start, rng.randint(start + 1, 6))
+    ids = list(timeline)
+    rels = sorted(_HOLDS)
+    relations = []
+    for _ in range(rng.randint(0, max_links)):
+        a, b = rng.choice(ids), rng.choice(ids)
+        true = [r for r in rels if _HOLDS[r](*timeline[a], *timeline[b])]
+        if true:  # overlapping intervals have no relation in the table
+            relations.append((rng.choice(true), a, b))
+    if not plant:
+        return make_doc(relations), None
+    # any interval is SIMULTANEOUS with itself, link or no link
+    _, a, b = rng.choice(relations) if relations else (None, ids[0], ids[0])
+    false = [r for r in rels if not _HOLDS[r](*timeline[a], *timeline[b])]
+    relations.append((rng.choice(false), a, b))
+    return make_doc(relations), f"l{len(relations)}"
+
+
 def golden_check(name: str, actual: str):
     """Compare against a committed golden file; UPDATE_GOLDENS=1 rewrites."""
     import os

@@ -244,6 +244,26 @@ class TestCorpusCommands:
         assert code == 1
         assert "fix" in out
 
+    def test_use_missing_corpus_file(self, session, workspace):
+        run(session, [f"corpus import {FIXTURE_DIR} as fx"])
+        (workspace / "corpora" / "fx" / "corpus.json").unlink()
+        code, out = run(session, ["corpus use fx"])
+        assert code == 1
+        assert out.startswith("error: cannot read ")
+        assert "corpus.json" in out
+        assert session.corpus.name == "fix"
+        assert Store().active_corpus_name() == "fix"
+
+    def test_corrupt_catalog(self, session, workspace):
+        catalog = workspace / "catalog.json"
+        catalog.write_text("{bad", encoding="utf-8")
+        code, out = run(session, ["corpus list"])
+        assert code == 1
+        assert out.startswith("error: cannot read ")
+        assert "catalog.json" in out
+        assert session.corpus.name == "fix"
+        assert catalog.read_text(encoding="utf-8") == "{bad"
+
 
 class TestJsonLines:
     def test_findings_parse(self, session):
@@ -256,6 +276,18 @@ class TestJsonLines:
             "severity": "WARNING", "subjects": ["t1"],
             "message": "TIMEX3 t1 not in any link",
         }
+
+    def test_consistency_witness(self, session):
+        session.findings_format = "json-lines"
+        _, out = run(session, ["check consistent in all"])
+        records = {r["document"]: r
+                   for r in map(json.loads, out.strip().splitlines())}
+        assert records["inconsistent_direct.tml"]["subjects"] == ["l1", "l2"]
+        assert records["inconsistent_inferred.tml"]["subjects"] == ["l1", "l2", "l3"]
+        assert len(records) == 2
+        for record in records.values():
+            assert record["message"].startswith(
+                "! Inconsistent closure - could not assert (")
 
     def test_exit_code_still_two(self, session):
         session.findings_format = "json-lines"

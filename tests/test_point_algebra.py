@@ -8,7 +8,14 @@ from tmlwb.point_algebra import (
     check_consistency, interval_axioms, oracle_consistency, tlink_to_assertions,
 )
 
-from conftest import make_doc, random_doc
+from conftest import make_doc, random_doc, random_timeline_doc
+
+
+def restricted(doc, lids):
+    """The document with only the given links."""
+    out = make_doc([])
+    out.links = {lid: doc.links[lid] for lid in lids}
+    return out
 
 
 def link(rel, a="a", b="b"):
@@ -70,6 +77,17 @@ class TestCheckConsistency:
         assert result.conflict is not None
         assert result.message.startswith("! Inconsistent closure - could not assert (")
 
+    def test_witness_names_clashing_tlinks(self):
+        doc = make_doc([("BEFORE", "C", "D"), ("BEFORE", "A", "B"),
+                        ("INCLUDES", "B", "A"), ("BEFORE", "B", "C")])
+        result = check_consistency(doc)
+        assert result.lids == ("l2", "l3")
+        # the cycle's last assertion: A_1 < A_2 (axiom) < B_1 (l2) < A_1 (l3)
+        assert result.conflict == ("<", ("B", 1), ("A", 1))
+        assert result.message == ("! Inconsistent closure - could not assert "
+                                  "(B_1 < A_1) - TLINKs l2, l3")
+        assert result.processed == 9  # 4 axioms + 5 TLINK assertions
+
     def test_no_tlinks(self):
         assert check_consistency(make_doc([])).consistent
 
@@ -80,7 +98,16 @@ class TestCheckConsistency:
         assert check_consistency(make_doc([("SIMULTANEOUS", "A", "A")])).consistent
 
     def test_before_self_loop(self):
-        assert not check_consistency(make_doc([("BEFORE", "A", "A")])).consistent
+        result = check_consistency(make_doc([("BEFORE", "A", "A")]))
+        assert not result.consistent
+        assert result.lids == ("l1",)
+
+    def test_includes_self_loop(self):
+        # (A_1 < A_1) and (A_2 < A_2): a `<` inside one class
+        result = check_consistency(make_doc([("INCLUDES", "A", "A")]))
+        assert not result.consistent
+        assert result.conflict[1] == result.conflict[2]
+        assert result.lids == ("l1",)
 
     def test_three_cycle(self):
         doc = make_doc([("BEFORE", "A", "B"), ("BEFORE", "B", "C"),
@@ -93,7 +120,9 @@ class TestCheckConsistency:
         # equality substitutes into the ordering chain
         doc = make_doc([("SIMULTANEOUS", "A", "B"), ("BEFORE", "B", "C"),
                         ("BEFORE", "C", "A")])
-        assert not check_consistency(doc).consistent
+        result = check_consistency(doc)
+        assert not result.consistent
+        assert result.lids == ("l1", "l2", "l3")
         assert not oracle_consistency(doc)
 
     def test_duplicate_links_harmless(self):
@@ -105,12 +134,14 @@ class TestCheckConsistency:
         assert check_consistency(make_doc(rels)).consistent
         rels.append(("BEFORE", "x50", "x0"))
         doc = make_doc(rels)
-        assert not check_consistency(doc).consistent
+        result = check_consistency(doc)
+        assert not result.consistent
+        assert result.lids == tuple(doc.links)
         assert not oracle_consistency(doc)
 
     def test_unknown_discipline(self):
         with pytest.raises(ValueError):
-            check_consistency(make_doc([]), discipline="random")
+            oracle_consistency(make_doc([]), discipline="random")
 
 
 class TestProperties:
@@ -118,14 +149,30 @@ class TestProperties:
         rng = random.Random(20090612)
         for _ in range(300):
             doc = random_doc(rng)
-            assert check_consistency(doc).consistent == oracle_consistency(doc)
+            result = check_consistency(doc)
+            assert result.consistent == oracle_consistency(doc)
+            if not result.consistent:
+                assert not oracle_consistency(restricted(doc, result.lids))
 
     def test_agenda_discipline_irrelevant(self):
         rng = random.Random(42)
         for _ in range(150):
             doc = random_doc(rng)
-            assert (check_consistency(doc, "fifo").consistent
-                    == check_consistency(doc, "lifo").consistent)
+            assert oracle_consistency(doc, "fifo") == oracle_consistency(doc, "lifo")
+
+    def test_witness_on_timeline_docs(self):
+        rng = random.Random(19860811)
+        for i in range(200):
+            doc, planted = random_timeline_doc(rng, plant=i % 2 == 1)
+            result = check_consistency(doc)
+            assert result.consistent == oracle_consistency(doc) == (planted is None)
+            assert check_consistency(doc).message == result.message
+            if planted is None:
+                assert result.lids == ()
+                continue
+            assert planted in result.lids
+            assert list(result.lids) == [lid for lid in doc.links if lid in result.lids]
+            assert not oracle_consistency(restricted(doc, result.lids))
 
     def test_fold_invariance(self, corpus):
         rng = random.Random(7)
@@ -142,8 +189,7 @@ class TestProperties:
             verdict = check_consistency(doc).consistent
             lids = list(doc.links)
             rng.shuffle(lids)
-            shuffled = make_doc([])
-            shuffled.links = {lid: doc.links[lid] for lid in lids}
+            shuffled = restricted(doc, lids)
             assert check_consistency(shuffled).consistent == verdict
 
     def test_fixture_verdicts(self, corpus):
