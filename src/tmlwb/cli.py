@@ -29,7 +29,7 @@ from .errors import CommandError, WorkbenchError
 from .ingest import get_fold_scheme, import_corpus
 from .model import Corpus, Document
 from .query import Filter, Query, format_report, run_query
-from .store import Store
+from .store import Store, check_corpus_name
 
 PROMPT = "tmlwb> "
 
@@ -306,6 +306,7 @@ def _execute_corpus(session: Session, cmd: Command) -> str:
     # import
     directory = Path(cmd.args["directory"])
     name = cmd.args["name"] or directory.name
+    check_corpus_name(name)
     fold = get_fold_scheme(cmd.args["fold"])
     if fold.name == "sputlink" and not fold.mapping:
         return _import_and_report(

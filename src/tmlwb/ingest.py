@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -138,17 +139,14 @@ def parse_document(path: Path | str, doc_id: int = 0) -> Document:
     doc = Document(doc_id=doc_id, filename=path.name)
     root = tree.getroot()
 
-    chars: list[str] = []
-    spans: list[tuple[ET.Element, int, int]] = []
-    _collect_text(root, chars, spans)
-    text = "".join(chars)
-
-    tokens, by_offset = _tokenize(text)
+    text, spans = _collect_text(root)
+    tokens, starts, ends = _tokenize(text)
     doc.tokens = tokens
 
-    span_tokens: dict[int, list[Token]] = {}
-    for elem, start, end in spans:
-        span_tokens[id(elem)] = [tok for (ts, te), tok in by_offset if ts < end and te > start]
+    # tokens come in document order and do not overlap, so the tokens
+    # overlapping [start, end) (ts < end and te > start) are one slice
+    span_tokens = {id(elem): tokens[bisect_right(ends, start):bisect_left(starts, end)]
+                   for elem, start, end in spans}
 
     for elem in root.iter():
         tag = elem.tag.upper()
@@ -183,29 +181,50 @@ def parse_document(path: Path | str, doc_id: int = 0) -> Document:
     return doc
 
 
-def _collect_text(elem: ET.Element, chars: list[str], spans: list) -> None:
-    start = sum(len(c) for c in chars)
-    if elem.text:
-        chars.append(elem.text)
-    for child in elem:
-        _collect_text(child, chars, spans)
-        if child.tail:
-            chars.append(child.tail)
-    if elem.tag.upper() in SPAN_TAGS:
-        end = sum(len(c) for c in chars)
-        spans.append((elem, start, end))
+def _collect_text(root: ET.Element) -> tuple[str, list[tuple[ET.Element, int, int]]]:
+    """The document text, and the (element, start, end) character range of
+    every EVENT, TIMEX3 and SIGNAL in it.
+
+    The walk keeps a running offset and an explicit stack, so it is linear
+    in the size of the document and survives any nesting depth.
+    """
+    chars: list[str] = []
+    spans: list[tuple[ET.Element, int, int]] = []
+    offset = 0
+    stack = [(root, 0, iter(root))]
+    if root.text:
+        chars.append(root.text)
+        offset += len(root.text)
+    while stack:
+        elem, start, children = stack[-1]
+        child = next(children, None)
+        if child is not None:
+            stack.append((child, offset, iter(child)))
+            if child.text:
+                chars.append(child.text)
+                offset += len(child.text)
+            continue
+        stack.pop()
+        if elem.tag.upper() in SPAN_TAGS:
+            spans.append((elem, start, offset))
+        if elem.tail:  # None for the root
+            chars.append(elem.tail)
+            offset += len(elem.tail)
+    return "".join(chars), spans
 
 
-def _tokenize(text: str):
+def _tokenize(text: str) -> tuple[list[Token], list[int], list[int]]:
+    """Tokens in document order, with their start and end offsets."""
     tokens: list[Token] = []
-    by_offset: list[tuple[tuple[int, int], Token]] = []
+    starts: list[int] = []
+    ends: list[int] = []
     for s_index, (s_start, s_end) in enumerate(tokenizer.sentence_spans(text)):
         for w_index, (w_start, w_end) in enumerate(tokenizer.word_spans(text, s_start, s_end)):
             surface = text[w_start:w_end]
-            tok = Token(s_index, w_index, surface, tokenizer.lemmatize(surface))
-            tokens.append(tok)
-            by_offset.append(((w_start, w_end), tok))
-    return tokens, by_offset
+            tokens.append(Token(s_index, w_index, surface, tokenizer.lemmatize(surface)))
+            starts.append(w_start)
+            ends.append(w_end)
+    return tokens, starts, ends
 
 
 def _check_id(doc: Document, tag_id, existing: dict, family: str, attr: str) -> bool:

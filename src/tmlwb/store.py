@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import tempfile
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -27,6 +28,14 @@ from .model import (
 
 ENV_HOME = "TMLWB_HOME"
 DEFAULT_HOME = "~/.tml-workbench"
+_ENTRY_KEYS = {"documents", "note", "imported"}
+
+
+def check_corpus_name(name: str) -> None:
+    """Refuse names that are not a single directory entry under corpora/."""
+    if name in ("", ".", "..") or any(sep in name for sep in ("/", "\\", os.sep)):
+        raise StoreError(f"invalid corpus name {name!r}: must be non-empty, "
+                         "not . or .., and contain no path separator")
 
 
 @dataclass(frozen=True)
@@ -55,6 +64,7 @@ class Store:
         return self.root / "catalog.json"
 
     def _corpus_dir(self, name: str) -> Path:
+        check_corpus_name(name)
         return self.root / "corpora" / name
 
     @contextmanager
@@ -73,9 +83,16 @@ class Store:
 
     # -- catalog ---------------------------------------------------------
     def _read_catalog_raw(self) -> dict:
-        if not self._catalog_path.exists():
+        path = self._catalog_path
+        if not path.exists():
             return {"active": None, "entries": {}}
-        return _read_json(self._catalog_path)
+        raw = _read_json(path)
+        if not (isinstance(raw, dict) and isinstance(raw.get("entries"), dict)
+                and "active" in raw and isinstance(raw["active"], (str, type(None)))
+                and all(isinstance(info, dict) and _ENTRY_KEYS <= info.keys()
+                        for info in raw["entries"].values())):
+            raise StoreError(f"cannot read {path}: not a tmlwb catalog")
+        return raw
 
     def _write_catalog_raw(self, raw: dict) -> None:
         tmp = self._catalog_path.with_suffix(".tmp")
@@ -92,17 +109,31 @@ class Store:
 
     # -- corpora ---------------------------------------------------------
     def save_corpus(self, corpus: Corpus) -> None:
-        """Persist a corpus; refuses to overwrite an existing name."""
+        """Persist a corpus; refuses to overwrite an existing name.
+
+        The corpus is written into a temporary directory under corpora/ and
+        renamed into place before the catalog names it, so a crash leaves
+        no half-written corpus. A directory of the same name with no catalog
+        entry is such a crash's leftover and is replaced.
+        """
+        target = self._corpus_dir(corpus.name)
         with self._write_lock():
             raw = self._read_catalog_raw()
             if corpus.name in raw["entries"]:
                 raise StoreError(f"corpus {corpus.name!r} already exists")
-            target = self._corpus_dir(corpus.name)
-            target.mkdir(parents=True)
-            payload = _corpus_to_json(corpus)
-            tmp = target / "corpus.json.tmp"
-            tmp.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-            tmp.replace(target / "corpus.json")
+            payload = json.dumps(_corpus_to_json(corpus), sort_keys=True)
+            try:
+                target.parent.mkdir(exist_ok=True)
+                tmp = Path(tempfile.mkdtemp(prefix=".import-", dir=target.parent))
+                try:
+                    (tmp / "corpus.json").write_text(payload, encoding="utf-8")
+                    if target.exists():
+                        shutil.rmtree(target)
+                    tmp.rename(target)
+                finally:
+                    shutil.rmtree(tmp, ignore_errors=True)
+            except OSError as exc:
+                raise StoreError(f"cannot write {target}: {exc.strerror}") from None
             raw["entries"][corpus.name] = {
                 "documents": len(corpus.documents),
                 "note": corpus.note,

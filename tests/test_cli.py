@@ -264,6 +264,27 @@ class TestCorpusCommands:
         assert session.corpus.name == "fix"
         assert catalog.read_text(encoding="utf-8") == "{bad"
 
+    @pytest.mark.parametrize("text", [
+        "[]", "{}", '{"entries": [], "active": null}',
+        '{"entries": {}, "active": 3}', '{"entries": {"x": 1}, "active": null}',
+        '{"entries": {"x": {"note": ""}}, "active": null}',
+    ])
+    def test_catalog_wrong_shape(self, session, workspace, text):
+        (workspace / "catalog.json").write_text(text, encoding="utf-8")
+        code, out = run(session, ["corpus list"])
+        assert code == 1
+        assert out.startswith("error: cannot read ")
+        assert "catalog.json: not a tmlwb catalog" in out
+
+    def test_reimport_after_lost_catalog(self, session, workspace):
+        # a crash between publishing corpora/fx/ and the catalog update
+        # leaves the directory without a catalog entry
+        run(session, [f"corpus import {FIXTURE_DIR} as fx"])
+        (workspace / "catalog.json").unlink()
+        code, out = run(session, [f"corpus import {FIXTURE_DIR} as fx", "corpus use fx"])
+        assert code == 0
+        assert "Using corpus 'fx' (8 documents)" in out
+
 
 class TestJsonLines:
     def test_findings_parse(self, session):
@@ -307,6 +328,19 @@ class TestMainEntry:
         script.write_text(f"corpus import {FIXTURE_DIR} as m\ncorpus use m\n"
                           "check consistent in all\n")
         assert main(["-f", str(script)]) == 2
+
+    @pytest.mark.parametrize("name", [".", "..", "../../escaped", "a/b", "'a\\b'"])
+    def test_bad_corpus_name(self, workspace, capsys, name):
+        assert main(["-c", f"corpus import {FIXTURE_DIR} as {name}"]) == 1
+        assert capsys.readouterr().out.startswith("error: invalid corpus name")
+        assert not workspace.exists()
+        assert not (workspace.parent / "escaped").exists()
+
+    def test_empty_corpus_name(self, workspace, capsys, monkeypatch):
+        monkeypatch.chdir(FIXTURE_DIR)  # the default name is the directory's, here ""
+        assert main(["-c", "corpus import ."]) == 1
+        assert capsys.readouterr().out.startswith("error: invalid corpus name ''")
+        assert not workspace.exists()
 
     def test_missing_script(self, workspace, capsys):
         assert main(["-f", "/nonexistent/script"]) == 1

@@ -1,5 +1,10 @@
+import itertools
+import random
+import xml.etree.ElementTree as ET
+
 import pytest
 
+from tmlwb import tokenizer
 from tmlwb.errors import LoadError
 from tmlwb.ingest import (
     CAVAT_FOLD, COMPACT_FOLD, NO_FOLD, apply_fold, get_fold_scheme,
@@ -75,6 +80,121 @@ class TestParseDocument:
     def test_dangling_reference_warns(self, corpus):
         doc = corpus.document_by_filename("orphans.tml")
         assert any("e99" in w for w in doc.warnings)
+
+    def test_deep_nesting(self, tmp_path):
+        # deeper than the interpreter's recursion limit
+        path = tmp_path / "deep.tml"
+        path.write_text('<TimeML>' + '<s>' * 1200 + 'hello <EVENT eid="e1">ran</EVENT>.'
+                        + '</s>' * 1200 + '</TimeML>')
+        doc = parse_document(path)
+        assert [t.surface for t in doc.tokens] == ["hello", "ran."]
+        assert doc.events["e1"].text == "ran."
+
+
+SPAN_IDS = {"EVENT": "eid", "TIMEX3": "tid", "SIGNAL": "sid"}
+
+
+def naive_span_tokens(path):
+    """{(tag, id): token indices} by the quadratic reference: offsets summed
+    anew at every element, and every token scanned for every span."""
+    root = ET.parse(path).getroot()
+    chars, span_of = [], {}
+
+    def collect(elem):
+        start = sum(len(c) for c in chars)
+        if elem.text:
+            chars.append(elem.text)
+        for child in elem:
+            collect(child)
+            if child.tail:
+                chars.append(child.tail)
+        span_of[elem] = (start, sum(len(c) for c in chars))
+
+    collect(root)
+    text = "".join(chars)
+    offsets = [w for s in tokenizer.sentence_spans(text)
+               for w in tokenizer.word_spans(text, *s)]
+    result = {}
+    for elem in root.iter():  # document order: the first of a duplicate id wins
+        tag = elem.tag.upper()
+        key = (tag, elem.get(SPAN_IDS.get(tag, "")))
+        if tag in SPAN_IDS and key[1] and key not in result:
+            start, end = span_of[elem]
+            result[key] = [i for i, (ts, te) in enumerate(offsets)
+                           if ts < end and te > start]
+    return text, offsets, span_of, result
+
+
+def fast_span_tokens(doc):
+    index = {id(tok): i for i, tok in enumerate(doc.tokens)}
+    result = {}
+    for tag, family in (("EVENT", doc.events), ("TIMEX3", doc.timexes),
+                        ("SIGNAL", doc.signals)):
+        for tag_id, item in family.items():
+            result[(tag, tag_id)] = [index[id(t)] for t in item.tokens]
+    return result
+
+
+_WORDS = ["the", "Talks", "ended", "on", "Friday.", "it", "rained", "3",
+          "(again)", "said:", "U.S.", "\"Yes!\""]
+_GAPS = ["", "", " ", "  ", "\n", "\n\n", ". ", "? ", " \t"]
+_TAGS = ["EVENT", "TIMEX3", "SIGNAL", "s", "p"]
+
+
+def random_timeml(rng: random.Random, max_depth=4) -> str:
+    """A TimeML document with spans nested, adjacent, empty and starting or
+    ending mid-word, tails, and text outside any sentence element."""
+    serial = itertools.count(1)
+
+    def text():
+        return "".join(rng.choice(_WORDS) + rng.choice(_GAPS)
+                       for _ in range(rng.randint(0, 3)))
+
+    def element(depth):
+        tag = rng.choice(_TAGS)
+        attr = f' {SPAN_IDS[tag]}="x{next(serial)}"' if tag in SPAN_IDS else ""
+        if rng.random() < 0.15:
+            return f"<{tag}{attr}/>"
+        return f"<{tag}{attr}>{content(depth + 1)}</{tag}>"
+
+    def content(depth):
+        parts = [text()]
+        if depth < max_depth:
+            for _ in range(rng.randint(0, 3)):
+                parts += [element(depth), text()]
+        return "".join(parts)
+
+    return f"<TimeML>{content(0)}</TimeML>"
+
+
+class TestSpanTokensMatchReference:
+    def check(self, path):
+        doc = parse_document(path)
+        text, offsets, span_of, expected = naive_span_tokens(path)
+        assert [t.surface for t in doc.tokens] == [text[s:e] for s, e in offsets]
+        assert fast_span_tokens(doc) == expected
+        return text, span_of
+
+    @pytest.mark.parametrize("path", sorted(FIXTURE_DIR.glob("*.tml")),
+                             ids=lambda p: p.name)
+    def test_fixture(self, path):
+        self.check(path)
+
+    def test_random_documents(self, tmp_path):
+        seen = dict.fromkeys(("nested", "adjacent", "empty", "mid-word"), 0)
+        for seed in range(300):
+            path = tmp_path / f"r{seed}.tml"
+            path.write_text(random_timeml(random.Random(seed)), encoding="utf-8")
+            text, span_of = self.check(path)
+            ranges = [r for e, r in span_of.items() if e.tag in SPAN_IDS]
+            for start, end in ranges:
+                seen["empty"] += start == end
+                seen["mid-word"] += any(0 < i < len(text) and not text[i - 1].isspace()
+                                        and not text[i].isspace() for i in (start, end))
+                seen["nested"] += any(s <= start and end <= e and (s, e) != (start, end)
+                                      for s, e in ranges)
+                seen["adjacent"] += any(s < e == start for s, e in ranges)
+        assert all(seen.values()), seen
 
 
 class TestApplyFold:

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from tmlwb.errors import StoreError
@@ -104,3 +107,31 @@ class TestLocking:
         store.save_corpus(corpus)
         (workspace / ".lock").touch()
         assert store.load_corpus("fixture").name == "fixture"
+
+
+class TestCrashSafety:
+    def test_leftover_directory_replaced(self, store, corpus, workspace):
+        leftover = workspace / "corpora" / "fixture"
+        leftover.mkdir(parents=True)
+        (leftover / "corpus.json").write_text("{half", encoding="utf-8")
+        (leftover / "stray").write_text("x", encoding="utf-8")
+        store.save_corpus(corpus)
+        assert sorted(p.name for p in (workspace / "corpora").iterdir()) == ["fixture"]
+        assert sorted(p.name for p in leftover.iterdir()) == ["corpus.json"]
+        assert corpus_fingerprint(store.load_corpus("fixture")) == corpus_fingerprint(corpus)
+
+    def test_failed_publish_leaves_nothing(self, store, corpus, workspace, monkeypatch):
+        def fail(self, target):
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(Path, "rename", fail)
+        with pytest.raises(StoreError, match="cannot write .*No space left"):
+            store.save_corpus(corpus)
+        assert list((workspace / "corpora").iterdir()) == []
+        assert not (workspace / ".lock").exists()
+        assert store.list_corpora().entries == []
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "../x", "a/b", "a\\b"])
+    def test_invalid_names_refused(self, store, corpus, workspace, name):
+        with pytest.raises(StoreError, match="invalid corpus name"):
+            store.save_corpus(replace(corpus, name=name))
+        assert not workspace.exists()
