@@ -9,8 +9,9 @@ from xml.sax.saxutils import escape, quoteattr
 from .errors import CommandError
 from .model import (
     Corpus, Document, Event, EventInstance, Link, Signal, Timex3,
-    INSTANCE, link_arg_attr_names, link_signal_text, position_string,
+    interval_span, link_arg_attr_names, link_signal_text, position_string,
 )
+from .query import _csv
 
 BROWSE_TAGS = ("event", "instance", "timex3", "signal", "tlink", "slink", "alink")
 
@@ -139,15 +140,6 @@ def _attr_rows(doc: Document, tag: str, obj) -> list[tuple[str, str]]:
     return rows
 
 
-def _interval_text(doc: Document, ref) -> str | None:
-    if ref.kind == INSTANCE:
-        inst = doc.instances.get(ref.ref_id)
-        event = doc.events.get(inst.event_id) if inst else None
-        return event.text if event else None
-    timex = doc.timexes.get(ref.ref_id)
-    return timex.text if timex else None
-
-
 def browse_tag(doc: Document, tag: str, tag_id: str, fmt: str = "screen") -> str:
     """Show one tag with its associated data, in screen, csv or timeml form."""
     if fmt == "timeml":
@@ -155,13 +147,7 @@ def browse_tag(doc: Document, tag: str, tag_id: str, fmt: str = "screen") -> str
     obj = _lookup(doc, tag, tag_id)
     rows = _attr_rows(doc, tag, obj)
     if fmt == "csv":
-        import csv as _csv
-        import io
-        buf = io.StringIO()
-        writer = _csv.writer(buf, lineterminator="\n")
-        writer.writerow([k for k, _ in rows])
-        writer.writerow([v for _, v in rows])
-        return buf.getvalue().rstrip("\n")
+        return _csv([k for k, _ in rows], [[v for _, v in rows]])
     if fmt != "screen":
         raise CommandError(f"unknown browse format {fmt!r}; "
                            "expected screen, csv or timeml")
@@ -189,7 +175,8 @@ def _associated(doc: Document, obj) -> list[str]:
             lines.append(f"Event {obj.event_id}: (missing)")
     elif isinstance(obj, Link):
         for name, ref in (("arg1", obj.arg1), ("arg2", obj.arg2)):
-            text = _interval_text(doc, ref)
+            span = interval_span(doc, ref)
+            text = span.text if span else None
             shown = f'"{text}"' if text else "(unresolved)"
             lines.append(f"  {name}: {ref.ref_id} {shown}")
         signal_text = link_signal_text(doc, obj)
@@ -208,13 +195,13 @@ def show_link_context(doc: Document, lid: str) -> str:
     notes: list[str] = []
     marked: dict[int, set[tuple[int, int]]] = {}
     for name, ref in (("arg1", link.arg1), ("arg2", link.arg2)):
-        tokens = _interval_tokens(doc, ref)
-        if tokens is None:
+        span = interval_span(doc, ref)
+        if span is None:
             notes.append(f"note: {name} {ref.ref_id} does not resolve")
-        elif not tokens:
+        elif not span.tokens:
             notes.append(f"note: {name} {ref.ref_id} has no text position")
         else:
-            for tok in tokens:
+            for tok in span.tokens:
                 marked.setdefault(tok.sentence_index, set()).add(tok.position)
     lines: list[str] = []
     for sentence_index in sorted(marked):
@@ -232,12 +219,3 @@ def show_link_context(doc: Document, lid: str) -> str:
     lines.append(relation)
     lines.extend(notes)
     return "\n".join(lines)
-
-
-def _interval_tokens(doc: Document, ref):
-    if ref.kind == INSTANCE:
-        inst = doc.instances.get(ref.ref_id)
-        event = doc.events.get(inst.event_id) if inst else None
-        return event.tokens if event else None
-    timex = doc.timexes.get(ref.ref_id)
-    return timex.tokens if timex else None

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shlex
 import sys
 from dataclasses import dataclass, field
@@ -305,7 +306,9 @@ def _execute_corpus(session: Session, cmd: Command) -> str:
         return f"Deleted corpus {cmd.args['name']!r}"
     # import
     directory = Path(cmd.args["directory"])
-    name = cmd.args["name"] or directory.name
+    name = cmd.args["name"]
+    if name is None:
+        name = Path(os.path.abspath(directory)).name
     check_corpus_name(name)
     fold = get_fold_scheme(cmd.args["fold"])
     if fold.name == "sputlink" and not fold.mapping:
@@ -349,26 +352,35 @@ def _execute_check(session: Session, cmd: Command) -> str:
 
 # -- entry points ---------------------------------------------------------
 
+def _run_line(session: Session, line: str, out) -> bool | None:
+    """Parse and run one command line, printing its output or its error.
+
+    Returns False after an error, None for exit and True otherwise.
+    """
+    try:
+        cmd = parse_command(line)
+        if cmd is None:
+            return True
+        output = execute(session, cmd)
+    except WorkbenchError as exc:
+        print(f"error: {exc}", file=out)
+        return False
+    if output is None:
+        return None
+    if output:
+        print(output, file=out)
+    return True
+
+
 def run_commands(session: Session, lines, out=None) -> int:
     """Run a sequence of command lines; returns the exit code."""
     out = out or sys.stdout
     for line in lines:
-        try:
-            cmd = parse_command(line)
-        except CommandError as exc:
-            print(f"error: {exc}", file=out)
+        status = _run_line(session, line, out)
+        if status is False:
             return 1
-        if cmd is None:
-            continue
-        try:
-            output = execute(session, cmd)
-        except WorkbenchError as exc:
-            print(f"error: {exc}", file=out)
-            return 1
-        if output is None:
+        if status is None:
             break
-        if output:
-            print(output, file=out)
     return 2 if session.error_findings else 0
 
 
@@ -385,22 +397,8 @@ def repl(session: Session) -> int:
         except KeyboardInterrupt:
             print()
             continue
-        try:
-            cmd = parse_command(line)
-        except CommandError as exc:
-            print(f"error: {exc}")
-            continue
-        if cmd is None:
-            continue
-        try:
-            output = execute(session, cmd)
-        except WorkbenchError as exc:
-            print(f"error: {exc}")
-            continue
-        if output is None:
+        if _run_line(session, line, sys.stdout) is None:
             return 0
-        if output:
-            print(output)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -7,6 +7,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .model import Document, INSTANCE, TIMEX
+from .point_algebra import find
 
 
 @dataclass
@@ -35,31 +36,19 @@ class SubgraphReport:
 
 
 def build_subgraphs(doc: Document) -> list[set[str]]:
-    """Group intervals into connected sets by scanning TLINKs sequentially.
+    """Group the TLINKs' intervals into connected sets, by union-find.
 
-    For each TLINK: both args in one set -> no-op; one found -> add the
-    other; found in different sets -> merge; neither found -> new set. A
-    self-loop on an unseen interval yields a singleton set.
+    The sets come in the order of their first interval's first appearance
+    in TLINK order. A self-loop on an otherwise unlinked interval yields a
+    singleton set.
     """
-    sets: list[set[str]] = []
+    parent: dict[str, str] = {}
     for link in doc.tlinks:
-        a, b = link.arg1.ref_id, link.arg2.ref_id
-        found_a = found_b = None
-        for group in sets:
-            if a in group:
-                found_a = group
-            if b in group:
-                found_b = group
-        if found_a is None and found_b is None:
-            sets.append({a, b})
-        elif found_a is None:
-            found_b.add(a)
-        elif found_b is None:
-            found_a.add(b)
-        elif found_a is not found_b:
-            found_a |= found_b
-            sets.remove(found_b)
-    return sets
+        parent[find(parent, link.arg1.ref_id)] = find(parent, link.arg2.ref_id)
+    groups: dict[str, set[str]] = {}
+    for node in parent:  # insertion order: first appearance
+        groups.setdefault(find(parent, node), set()).add(node)
+    return list(groups.values())
 
 
 def subgraph_entropy(sizes: list[int]) -> float:
@@ -86,16 +75,13 @@ def subgraph_stats(doc: Document) -> SubgraphReport:
     report.max_size = max(sizes)
     report.largest_node_pct = 100.0 * report.max_size / report.node_count
     report.size_histogram = dict(sorted(Counter(sizes).items()))
-    report.entropy = subgraph_entropy(sizes)
+    # summed in sorted order, so the float result does not depend on the
+    # order in which the groups were found
+    report.entropy = subgraph_entropy(sorted(sizes))
 
-    links_per_group = [0] * len(groups)
-    for link in doc.tlinks:
-        a = link.arg1.ref_id
-        for i, group in enumerate(groups):
-            if a in group:
-                links_per_group[i] += 1
-                break
-    isolated = [i for i, n in enumerate(links_per_group) if n == 1]
+    group_of = {node: i for i, group in enumerate(groups) for node in group}
+    links_per_group = Counter(group_of[link.arg1.ref_id] for link in doc.tlinks)
+    isolated = [i for i, n in links_per_group.items() if n == 1]
     report.isolated_count = len(isolated)
     report.isolated_subgraph_pct = 100.0 * len(isolated) / report.subgraph_count
     isolated_nodes = sum(len(groups[i]) for i in isolated)

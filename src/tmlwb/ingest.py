@@ -127,14 +127,19 @@ def apply_fold(doc: Document, scheme: FoldScheme) -> Document:
 def parse_document(path: Path | str, doc_id: int = 0) -> Document:
     """Parse one TimeML file into a Document.
 
-    Malformed XML raises LoadError. Links with an unknown TLINK relType and
-    tags with duplicate or missing ids are skipped with a warning recorded
-    on the document; dangling id references also become warnings.
+    An unreadable file or malformed XML raises LoadError. Links with an
+    unknown TLINK relType and tags with duplicate or missing ids are skipped
+    with a warning recorded on the document; dangling id references also
+    become warnings.
     """
     path = Path(path)
     try:
         tree = ET.parse(path)
-    except ET.ParseError as exc:
+    except OSError as exc:
+        raise LoadError(f"{path.name}: cannot read ({exc.strerror})") from exc
+    # ValueError and LookupError: the XML declaration names an encoding
+    # that expat cannot decode or that Python does not know
+    except (ET.ParseError, ValueError, LookupError) as exc:
         raise LoadError(f"{path.name}: malformed XML ({exc})") from exc
     doc = Document(doc_id=doc_id, filename=path.name)
     root = tree.getroot()

@@ -54,15 +54,9 @@ class Token:
         return (self.sentence_index, self.word_index)
 
 
-@dataclass
-class Event:
-    eid: str
-    attrs: dict[str, str]
-    tokens: list[Token]
-
-    @property
-    def event_class(self) -> str | None:
-        return self.attrs.get("class")
+class Span:
+    """Text, lemma and position of a tag's token span. It has no dataclass
+    fields, so the field order of the tags that share it is their own."""
 
     @property
     def text(self) -> str:
@@ -75,6 +69,13 @@ class Event:
     @property
     def position(self) -> tuple[int, int] | None:
         return self.tokens[0].position if self.tokens else None
+
+
+@dataclass
+class Event(Span):
+    eid: str
+    attrs: dict[str, str]
+    tokens: list[Token]
 
 
 @dataclass
@@ -85,40 +86,16 @@ class EventInstance:
 
 
 @dataclass
-class Timex3:
+class Timex3(Span):
     tid: str
     attrs: dict[str, str]
     tokens: list[Token]
 
-    @property
-    def text(self) -> str:
-        return " ".join(t.surface for t in self.tokens)
-
-    @property
-    def lemma(self) -> str:
-        return " ".join(t.lemma for t in self.tokens)
-
-    @property
-    def position(self) -> tuple[int, int] | None:
-        return self.tokens[0].position if self.tokens else None
-
 
 @dataclass
-class Signal:
+class Signal(Span):
     sid: str
     tokens: list[Token]
-
-    @property
-    def text(self) -> str:
-        return " ".join(t.surface for t in self.tokens)
-
-    @property
-    def lemma(self) -> str:
-        return " ".join(t.lemma for t in self.tokens)
-
-    @property
-    def position(self) -> tuple[int, int] | None:
-        return self.tokens[0].position if self.tokens else None
 
 
 @dataclass
@@ -192,40 +169,46 @@ def position_string(pos: tuple[int, int] | None) -> str | None:
     return None if pos is None else f"{pos[0]}:{pos[1]}"
 
 
-def resolve_event_attribute(doc: Document, attribute: str) -> dict[str, str | None]:
-    """Map every event instance to its effective attribute value.
+def field_value(doc: Document, obj: Span | EventInstance, name: str) -> str | None:
+    """The value of one field of an EVENT, MAKEINSTANCE, TIMEX3 or SIGNAL;
+    None when it is absent or empty.
 
-    Instance-level attributes come from the MAKEINSTANCE tag; text, lemma,
-    class and position come from the referenced EVENT. Instances whose
-    event reference dangles get None for event-sourced attributes.
+    An instance takes its own attributes (INSTANCE_SOURCED, eiid, eventid)
+    from the MAKEINSTANCE tag and every other field from the EVENT it
+    instantiates; when that reference dangles, those fields are None.
+    Other fields are the tag's id, its span's text, lemma and position, or
+    an XML attribute looked up without regard to case.
     """
+    if isinstance(obj, EventInstance):
+        if name == "eiid":
+            return obj.eiid
+        if name == "eventid":
+            return obj.event_id or None
+        if name in INSTANCE_SOURCED:
+            return _attr(obj.attrs, name)
+        obj = doc.events.get(obj.event_id)
+        if obj is None:
+            return None
+    if name in ("text", "lemma"):
+        return getattr(obj, name) or None
+    if name == "position":
+        return position_string(obj.position)
+    if name in ("eid", "tid", "sid"):
+        return getattr(obj, name, None)
+    return _attr(getattr(obj, "attrs", {}), name)
+
+
+def resolve_event_attribute(doc: Document, attribute: str) -> dict[str, str | None]:
+    """Map every event instance to its effective attribute value (see
+    field_value)."""
     attribute = attribute.lower()
-    valid = tuple(INSTANCE_SOURCED) + tuple(EVENT_SOURCED) + ("eiid", "eventid")
+    valid = INSTANCE_SOURCED + EVENT_SOURCED + ("eiid", "eventid")
     if attribute not in valid:
         raise QueryError(
             f"unknown event attribute {attribute!r}; valid attributes: "
             + ", ".join(sorted(valid)))
-    out: dict[str, str | None] = {}
-    for eiid, inst in doc.instances.items():
-        if attribute == "eiid":
-            out[eiid] = eiid
-        elif attribute == "eventid":
-            out[eiid] = inst.event_id
-        elif attribute in INSTANCE_SOURCED:
-            out[eiid] = _attr(inst.attrs, attribute)
-        else:
-            event = doc.events.get(inst.event_id)
-            if event is None:
-                out[eiid] = None
-            elif attribute == "text":
-                out[eiid] = event.text or None
-            elif attribute == "lemma":
-                out[eiid] = event.lemma or None
-            elif attribute == "class":
-                out[eiid] = event.event_class
-            else:  # position
-                out[eiid] = position_string(event.position)
-    return out
+    return {eiid: field_value(doc, inst, attribute)
+            for eiid, inst in doc.instances.items()}
 
 
 def _attr(attrs: dict[str, str], name: str) -> str | None:
@@ -233,6 +216,15 @@ def _attr(attrs: dict[str, str], name: str) -> str | None:
         if key.lower() == name:
             return value if value != "" else None
     return None
+
+
+def interval_span(doc: Document, ref: IntervalRef) -> Event | Timex3 | None:
+    """The EVENT (through its instance) or TIMEX3 an interval refers to;
+    None when the reference dangles."""
+    if ref.kind == INSTANCE:
+        inst = doc.instances.get(ref.ref_id)
+        return doc.events.get(inst.event_id) if inst else None
+    return doc.timexes.get(ref.ref_id)
 
 
 def link_signal_text(doc: Document, link: Link) -> str | None:

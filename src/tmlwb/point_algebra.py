@@ -18,6 +18,7 @@ from __future__ import annotations
 import graphlib
 from collections import deque
 from dataclasses import dataclass
+from typing import TypeVar
 
 from .model import Document, Link
 
@@ -26,6 +27,7 @@ END = 2
 
 Point = tuple[str, int]
 Assertion = tuple[str, Point, Point]
+T = TypeVar("T")
 
 # TimeML relation -> point assertion templates, with the link written
 # "arg1 REL arg2". Each template is (rel, (arg, point), (arg, point)).
@@ -113,8 +115,10 @@ class ConsistencyResult:
                 f"{assertion_text(self.conflict)} - TLINKs {', '.join(self.lids)}")
 
 
-def _find(parent: dict[Point, Point], p: Point) -> Point:
-    """Root of p's `=` class, halving the path on the way."""
+def find(parent: dict[T, T], p: T) -> T:
+    """Root of p's class in the union-find forest parent (p joins it as a
+    class of its own if new), halving the path on the way. Here the
+    classes are the `=` classes of points; graph_checks groups intervals."""
     parent.setdefault(p, p)
     while parent[p] != p:
         parent[p] = parent[parent[p]]
@@ -137,13 +141,13 @@ def check_consistency(doc: Document) -> ConsistencyResult:
     parent: dict[Point, Point] = {}
     for rel, left, right in assertions:
         if rel == "=":
-            parent[_find(parent, left)] = _find(parent, right)
+            parent[find(parent, left)] = find(parent, right)
     # class -> {class before it: index of the first `<` assertion between them}
     preds: dict[Point, dict[Point, int]] = {}
     for i, (rel, left, right) in enumerate(assertions):
         if rel == "<":
-            preds.setdefault(_find(parent, right), {}).setdefault(
-                _find(parent, left), i)
+            preds.setdefault(find(parent, right), {}).setdefault(
+                find(parent, left), i)
     try:
         graphlib.TopologicalSorter(preds).prepare()
     except graphlib.CycleError as exc:

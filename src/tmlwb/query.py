@@ -10,8 +10,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import QueryError
 from .model import (
-    Corpus, Document, INSTANCE, INSTANCE_SOURCED, link_signal_text,
-    position_string,
+    Corpus, Document, INSTANCE_SOURCED, Span, field_value, interval_span,
+    link_signal_text,
 )
 
 REPORTS = ("list", "distribution", "state")
@@ -141,79 +141,23 @@ def _occurrences(corpus: Corpus, q: Query) -> list[_Occurrence]:
 
 
 def _doc_occurrences(doc: Document, tag: str, fields: set[str]):
-    if tag == "event":
-        # the event/instance abstraction: instance-sourced fields make the
-        # query range over event instances rather than events
-        if fields & set(INSTANCE_SOURCED):
-            yield from _instance_occurrences(doc, fields)
-        else:
-            for event in doc.events.values():
-                values = {}
-                for f in fields:
-                    values[f] = _event_field(event, f)
-                yield _Occurrence(doc, values, _pos_sentence(event.position))
-    elif tag == "instance":
-        yield from _instance_occurrences(doc, fields)
-    elif tag == "timex3":
-        for timex in doc.timexes.values():
-            values = {f: _span_field(timex, "tid", f) for f in fields}
-            yield _Occurrence(doc, values, _pos_sentence(timex.position))
-    elif tag == "signal":
-        for signal in doc.signals.values():
-            values = {f: _span_field(signal, "sid", f) for f in fields}
-            yield _Occurrence(doc, values, _pos_sentence(signal.position))
-    else:
+    if tag in ("tlink", "slink", "alink"):
         kind = tag.upper()
         for link in doc.links.values():
-            if link.kind != kind:
-                continue
-            values = {f: _link_field(doc, link, f) for f in fields}
-            yield _Occurrence(doc, values, _link_sentence(doc, link))
-
-
-def _instance_occurrences(doc: Document, fields: set[str]):
-    for inst in doc.instances.values():
-        event = doc.events.get(inst.event_id)
-        values: dict[str, str | None] = {}
-        for f in fields:
-            if f == "eiid":
-                values[f] = inst.eiid
-            elif f == "eventid":
-                values[f] = inst.event_id or None
-            elif f == "eid":
-                values[f] = event.eid if event else None
-            elif f in INSTANCE_SOURCED:
-                values[f] = _ci_attr(inst.attrs, f)
-            else:
-                values[f] = _event_field(event, f) if event else None
-        sentence = _pos_sentence(event.position) if event else None
-        yield _Occurrence(doc, values, sentence)
-
-
-def _event_field(event, f: str) -> str | None:
-    if f == "eid":
-        return event.eid
-    if f == "class":
-        return event.event_class
-    if f == "text":
-        return event.text or None
-    if f == "lemma":
-        return event.lemma or None
-    if f == "position":
-        return position_string(event.position)
-    return _ci_attr(event.attrs, f)
-
-
-def _span_field(obj, id_field_xml: str, f: str) -> str | None:
-    if f == "text":
-        return obj.text or None
-    if f == "lemma":
-        return obj.lemma or None
-    if f == "position":
-        return position_string(obj.position)
-    if f in ("tid", "sid"):
-        return getattr(obj, f)
-    return _ci_attr(getattr(obj, "attrs", {}), f)
+            if link.kind == kind:
+                values = {f: _link_field(doc, link, f) for f in fields}
+                yield _Occurrence(doc, values, _sentence(interval_span(doc, link.arg1)))
+    # the event/instance abstraction: instance-sourced fields make an event
+    # query range over event instances rather than events
+    elif tag == "instance" or (tag == "event" and fields & set(INSTANCE_SOURCED)):
+        for inst in doc.instances.values():
+            values = {f: field_value(doc, inst, f) for f in fields}
+            yield _Occurrence(doc, values, _sentence(doc.events.get(inst.event_id)))
+    else:
+        pool = {"event": doc.events, "timex3": doc.timexes, "signal": doc.signals}[tag]
+        for span in pool.values():
+            values = {f: field_value(doc, span, f) for f in fields}
+            yield _Occurrence(doc, values, _sentence(span))
 
 
 def _link_field(doc: Document, link, f: str) -> str | None:
@@ -234,25 +178,8 @@ def _link_field(doc: Document, link, f: str) -> str | None:
     return None
 
 
-def _ci_attr(attrs: dict[str, str], name: str) -> str | None:
-    for key, value in attrs.items():
-        if key.lower() == name:
-            return value if value != "" else None
-    return None
-
-
-def _pos_sentence(pos) -> int | None:
-    return None if pos is None else pos[0]
-
-
-def _link_sentence(doc: Document, link) -> int | None:
-    ref = link.arg1
-    if ref.kind == INSTANCE:
-        inst = doc.instances.get(ref.ref_id)
-        event = doc.events.get(inst.event_id) if inst else None
-        return _pos_sentence(event.position) if event else None
-    timex = doc.timexes.get(ref.ref_id)
-    return _pos_sentence(timex.position) if timex else None
+def _sentence(span: Span | None) -> int | None:
+    return span.tokens[0].sentence_index if span and span.tokens else None
 
 
 # -- filtering ------------------------------------------------------------

@@ -74,9 +74,15 @@ class Store:
         try:
             fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            raise StoreError(f"workspace {self.root} is locked by another writer") from None
+            raise StoreError(f"workspace {self.root} is locked by another "
+                             f"writer{_lock_owner(lock)}") from None
         try:
-            os.close(fd)
+            with os.fdopen(fd, "w", encoding="ascii") as owner:
+                owner.write(f"{os.getpid()} {_now()}")
+        except OSError as exc:
+            lock.unlink(missing_ok=True)
+            raise StoreError(f"cannot write {lock}: {exc.strerror}") from None
+        try:
             yield
         finally:
             lock.unlink(missing_ok=True)
@@ -114,7 +120,10 @@ class Store:
         The corpus is written into a temporary directory under corpora/ and
         renamed into place before the catalog names it, so a crash leaves
         no half-written corpus. A directory of the same name with no catalog
-        entry is such a crash's leftover and is replaced.
+        entry is such a crash's leftover and is replaced; so are the
+        temporary directories of crashed imports, which no other writer can
+        own while this one holds the lock. A corpus may itself be named
+        .import-*; a directory the catalog names is never removed.
         """
         target = self._corpus_dir(corpus.name)
         with self._write_lock():
@@ -124,6 +133,9 @@ class Store:
             payload = json.dumps(_corpus_to_json(corpus), sort_keys=True)
             try:
                 target.parent.mkdir(exist_ok=True)
+                for leftover in target.parent.glob(".import-*"):
+                    if leftover.name not in raw["entries"]:
+                        shutil.rmtree(leftover, ignore_errors=True)
                 tmp = Path(tempfile.mkdtemp(prefix=".import-", dir=target.parent))
                 try:
                     (tmp / "corpus.json").write_text(payload, encoding="utf-8")
@@ -137,7 +149,7 @@ class Store:
             raw["entries"][corpus.name] = {
                 "documents": len(corpus.documents),
                 "note": corpus.note,
-                "imported": time.strftime("%Y-%m-%dT%H:%M:%S"),
+                "imported": _now(),
             }
             self._write_catalog_raw(raw)
 
@@ -178,6 +190,19 @@ class Store:
         if name is None or name not in raw["entries"]:
             raise StoreError("no corpus selected")
         return raw["entries"][name]["note"]
+
+
+def _now() -> str:
+    return time.strftime("%Y-%m-%dT%H:%M:%S")
+
+
+def _lock_owner(lock: Path) -> str:
+    """' (pid N since T)' from the lock file; '' if it names no owner."""
+    try:
+        pid, since = lock.read_text(encoding="ascii").split()
+    except (OSError, ValueError):  # unreadable, not ASCII, or not two words
+        return ""
+    return f" (pid {pid} since {since})" if pid.isdigit() else ""
 
 
 # -- serialization -------------------------------------------------------

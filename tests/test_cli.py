@@ -188,6 +188,12 @@ class TestBatchExitCodes:
         assert code == 1
         assert out.startswith("error:")
 
+    def test_query_error_exit_one(self, session):
+        # a show query is validated while its line is parsed
+        code, out = run(session, ["show list of foo bar"])
+        assert code == 1
+        assert out.startswith("error: unknown tag 'foo'")
+
     def test_command_error_exit_one(self, session):
         code, out = run(session, ["browse doc 99"])
         assert code == 1
@@ -337,10 +343,22 @@ class TestMainEntry:
         assert not (workspace.parent / "escaped").exists()
 
     def test_empty_corpus_name(self, workspace, capsys, monkeypatch):
-        monkeypatch.chdir(FIXTURE_DIR)  # the default name is the directory's, here ""
-        assert main(["-c", "corpus import ."]) == 1
+        monkeypatch.chdir(FIXTURE_DIR)  # `.` is named after the directory
+        assert main(["-c", "corpus import .; corpus list"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("Imported corpus 'timeml': 8 documents")
+        assert "  timeml  (8 documents" in out
+        assert main(["-c", "corpus import . as ''"]) == 1
         assert capsys.readouterr().out.startswith("error: invalid corpus name ''")
-        assert not workspace.exists()
+        assert [e.name for e in Store().list_corpora().entries] == ["timeml"]
+
+    def test_symlinked_directory_keeps_its_name(self, workspace, tmp_path, capsys,
+                                                monkeypatch):
+        (tmp_path / "latest").symlink_to(FIXTURE_DIR, target_is_directory=True)
+        monkeypatch.chdir(tmp_path)
+        assert main(["-c", "corpus import latest/."]) == 0
+        assert capsys.readouterr().out.startswith("Imported corpus 'latest': 8 documents")
+        assert [e.name for e in Store().list_corpora().entries] == ["latest"]
 
     def test_missing_script(self, workspace, capsys):
         assert main(["-f", "/nonexistent/script"]) == 1

@@ -30,6 +30,10 @@ class TestParseDocument:
         assert len(doc.timexes) == 1
         assert len(doc.links) == 1
 
+    def test_unreadable_file(self, tmp_path):
+        with pytest.raises(LoadError, match="cannot read"):
+            parse_document(tmp_path)  # a directory
+
     def test_empty_document(self, tmp_path):
         path = tmp_path / "empty.tml"
         path.write_text("<TimeML></TimeML>")

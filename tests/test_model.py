@@ -50,6 +50,23 @@ class TestResolveEventAttribute:
             resolve_event_attribute(doc, "flavour")
         assert "tense" in str(exc.value)
 
+    def test_empty_values_are_absent(self, tmp_path):
+        """An empty eventID or class is None, like every empty field, and
+        class is matched without regard to case."""
+        from tmlwb.ingest import parse_document
+        path = tmp_path / "empty.tml"
+        path.write_text(
+            '<TimeML><EVENT eid="e1" class="">ran</EVENT> '
+            '<EVENT eid="e2" CLASS="STATE">slept</EVENT>\n'
+            '<MAKEINSTANCE eiid="ei1" eventID="e1"/>'
+            '<MAKEINSTANCE eiid="ei2" eventID="e2"/>'
+            '<MAKEINSTANCE eiid="ei3" eventID=""/>\n</TimeML>')
+        doc = parse_document(path)
+        assert resolve_event_attribute(doc, "eventid") == {
+            "ei1": "e1", "ei2": "e2", "ei3": None}
+        assert resolve_event_attribute(doc, "class") == {
+            "ei1": None, "ei2": "STATE", "ei3": None}
+
     def test_total_over_instances(self, corpus):
         for doc in corpus.documents:
             for attribute in ("pos", "tense", "text", "class"):

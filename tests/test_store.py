@@ -1,3 +1,5 @@
+import os
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -103,6 +105,26 @@ class TestLocking:
         with pytest.raises(StoreError, match="locked"):
             store.save_corpus(corpus)
 
+    @pytest.mark.parametrize("content,owner", [
+        (b"1234 2026-10-18T05:17:35", " (pid 1234 since 2026-10-18T05:17:35)"),
+        (b"", ""), (b"garbage", ""), (b"\xff\xfe 1", "")])
+    def test_lock_names_owner(self, store, corpus, workspace, content, owner):
+        workspace.mkdir(parents=True, exist_ok=True)
+        (workspace / ".lock").write_bytes(content)
+        with pytest.raises(StoreError) as exc:
+            store.save_corpus(corpus)
+        assert str(exc.value).endswith("is locked by another writer" + owner)
+
+    def test_lock_written_while_held(self, store, corpus, workspace, monkeypatch):
+        seen = []
+        monkeypatch.setattr(Store, "_write_catalog_raw", lambda self, raw: seen.append(
+            (workspace / ".lock").read_text(encoding="ascii")))
+        store.save_corpus(corpus)
+        pid, since = seen[0].split()
+        assert int(pid) == os.getpid()
+        time.strptime(since, "%Y-%m-%dT%H:%M:%S")
+        assert not (workspace / ".lock").exists()
+
     def test_readers_ignore_lock(self, store, corpus, workspace):
         store.save_corpus(corpus)
         (workspace / ".lock").touch()
@@ -129,6 +151,25 @@ class TestCrashSafety:
         assert list((workspace / "corpora").iterdir()) == []
         assert not (workspace / ".lock").exists()
         assert store.list_corpora().entries == []
+
+    def test_import_leftovers_removed(self, store, corpus, workspace):
+        leftover = workspace / "corpora" / ".import-x"
+        leftover.mkdir(parents=True)
+        (leftover / "corpus.json").write_text("{half", encoding="utf-8")
+        assert store.list_corpora().entries == []
+        store.save_corpus(corpus)
+        assert not leftover.exists()
+        assert [p.name for p in (workspace / "corpora").iterdir()] == ["fixture"]
+        assert [e.name for e in store.list_corpora().entries] == ["fixture"]
+
+    def test_corpus_named_like_a_leftover_kept(self, store, corpus, workspace):
+        named = replace(corpus, name=".import-x")
+        store.save_corpus(named)
+        store.save_corpus(replace(corpus, name="second"))
+        assert sorted(p.name for p in (workspace / "corpora").iterdir()) == [
+            ".import-x", "second"]
+        kept = store.load_corpus(".import-x")
+        assert corpus_fingerprint(kept) == corpus_fingerprint(named)
 
     @pytest.mark.parametrize("name", ["", ".", "..", "../x", "a/b", "a\\b"])
     def test_invalid_names_refused(self, store, corpus, workspace, name):
