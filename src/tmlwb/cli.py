@@ -416,19 +416,51 @@ def main(argv: list[str] | None = None) -> int:
 
     session = Session(store=Store(), findings_format=args.findings_format)
     if args.commands is not None:
-        lines = [part.strip() for part in args.commands.split(";")]
-        return run_commands(session, lines)
+        return run_commands(session, _split_commands(args.commands))
     if args.script is not None:
         path = Path(args.script)
         if not path.is_file():
             print(f"error: no such script file: {path}", file=sys.stderr)
             return 1
-        return run_commands(session, path.read_text(encoding="utf-8").splitlines())
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"error: cannot read script file {path}: {exc}", file=sys.stderr)
+            return 1
+        return run_commands(session, text.splitlines())
     return repl(session)
 
 
+def _split_commands(text: str) -> list[str]:
+    """Split -c text on the semicolons that are outside quotes, with the
+    quoting and backslash rules of shlex.split."""
+    parts, start, quote, escaped = [], 0, None, False
+    for i, char in enumerate(text):
+        if escaped:
+            escaped = False
+        elif char == "\\" and quote != "'":
+            escaped = True
+        elif quote:
+            if char == quote:
+                quote = None
+        elif char in "'\"":
+            quote = char
+        elif char == ";":
+            parts.append(text[start:i].strip())
+            start = i + 1
+    parts.append(text[start:].strip())
+    return parts
+
+
 def entry() -> None:
-    raise SystemExit(main())
+    try:
+        status = main()
+        sys.stdout.flush()  # a closed pipe shows here, not at shutdown
+    except BrokenPipeError:
+        # the reader is gone: let the flush at shutdown go to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    raise SystemExit(status)
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ as immutable after load.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .errors import QueryError
 
@@ -17,11 +18,6 @@ TLINK_RELATIONS = frozenset({
     "INCLUDES", "IS_INCLUDED",
     "BEGINS", "BEGUN_BY", "ENDS", "ENDED_BY",
     "SIMULTANEOUS", "IDENTITY", "DURING", "DURING_INV",
-})
-
-EVENT_CLASSES = frozenset({
-    "OCCURRENCE", "I_ACTION", "I_STATE", "STATE",
-    "REPORTING", "PERCEPTION", "ASPECTUAL",
 })
 
 # interval kinds
@@ -71,22 +67,41 @@ class Span:
         return self.tokens[0].position if self.tokens else None
 
 
+@cache
+def _key_map(names: tuple[str, ...]) -> dict[str, str]:
+    """Lowercase name -> the first of names with that lowercase form; one map
+    per distinct tuple of attribute names, shared by every tag that has it."""
+    return {name.lower(): name for name in reversed(names)}
+
+
+class Attributed:
+    """A tag whose raw XML attributes are read without regard to case."""
+
+    def __post_init__(self):
+        self.attr_keys = _key_map(tuple(self.attrs))
+
+    def attr(self, name: str) -> str | None:
+        """The attribute whose lowercase name is name; None when absent or empty."""
+        key = self.attr_keys.get(name)
+        return None if key is None else self.attrs[key] or None
+
+
 @dataclass
-class Event(Span):
+class Event(Span, Attributed):
     eid: str
     attrs: dict[str, str]
     tokens: list[Token]
 
 
 @dataclass
-class EventInstance:
+class EventInstance(Attributed):
     eiid: str
     event_id: str
     attrs: dict[str, str]
 
 
 @dataclass
-class Timex3(Span):
+class Timex3(Span, Attributed):
     tid: str
     attrs: dict[str, str]
     tokens: list[Token]
@@ -134,12 +149,9 @@ class Document:
     links: dict[str, Link] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
 
-    def links_of_kind(self, kind: str) -> list[Link]:
-        return [l for l in self.links.values() if l.kind == kind]
-
     @property
     def tlinks(self) -> list[Link]:
-        return self.links_of_kind("TLINK")
+        return [l for l in self.links.values() if l.kind == "TLINK"]
 
     def sentence_tokens(self, sentence_index: int) -> list[Token]:
         return [t for t in self.tokens if t.sentence_index == sentence_index]
@@ -185,7 +197,7 @@ def field_value(doc: Document, obj: Span | EventInstance, name: str) -> str | No
         if name == "eventid":
             return obj.event_id or None
         if name in INSTANCE_SOURCED:
-            return _attr(obj.attrs, name)
+            return obj.attr(name)
         obj = doc.events.get(obj.event_id)
         if obj is None:
             return None
@@ -195,7 +207,7 @@ def field_value(doc: Document, obj: Span | EventInstance, name: str) -> str | No
         return position_string(obj.position)
     if name in ("eid", "tid", "sid"):
         return getattr(obj, name, None)
-    return _attr(getattr(obj, "attrs", {}), name)
+    return obj.attr(name) if isinstance(obj, Attributed) else None
 
 
 def resolve_event_attribute(doc: Document, attribute: str) -> dict[str, str | None]:
@@ -209,13 +221,6 @@ def resolve_event_attribute(doc: Document, attribute: str) -> dict[str, str | No
             + ", ".join(sorted(valid)))
     return {eiid: field_value(doc, inst, attribute)
             for eiid, inst in doc.instances.items()}
-
-
-def _attr(attrs: dict[str, str], name: str) -> str | None:
-    for key, value in attrs.items():
-        if key.lower() == name:
-            return value if value != "" else None
-    return None
 
 
 def interval_span(doc: Document, ref: IntervalRef) -> Event | Timex3 | None:

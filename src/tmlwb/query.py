@@ -5,13 +5,13 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from collections import Counter, defaultdict
+from dataclasses import dataclass
 
 from .errors import QueryError
 from .model import (
-    Corpus, Document, INSTANCE_SOURCED, Span, field_value, interval_span,
-    link_signal_text,
+    Corpus, Document, EventInstance, INSTANCE_SOURCED, Link, field_value,
+    interval_span, link_signal_text,
 )
 
 REPORTS = ("list", "distribution", "state")
@@ -121,46 +121,47 @@ class ListResult:
     grouped: bool = False
 
 
-# -- occurrence resolution ------------------------------------------------
+# -- one pass over a tag's occurrences ------------------------------------
 
-@dataclass
-class _Occurrence:
-    doc: Document
-    values: dict[str, str | None]
-    sentence: int | None
-
-
-def _occurrences(corpus: Corpus, q: Query) -> list[_Occurrence]:
-    fields = {q.field}
-    if q.filter is not None:
-        fields.add(q.filter.field)
-    out: list[_Occurrence] = []
+def _value_counts(corpus: Corpus, q: Query) -> list[tuple[str | None, Counter]]:
+    """The report field's value counts per group, sorted by group, from one
+    pass over each document's pool of the queried tag. Absent and empty
+    values count under None; occurrences the filter rejects not at all."""
+    flt = q.filter
+    fields = {q.field} if flt is None else {q.field, flt.field}
+    if flt is not None:
+        wanted = flt.op in ("is", "filled")
+        target = (flt.value or "").lower() if flt.op in ("is", "is_not") else None
+    value = _link_field if q.tag in ("tlink", "slink", "alink") else field_value
+    groups: dict[str | None, Counter] = defaultdict(Counter)
     for doc in corpus.documents:
-        out.extend(_doc_occurrences(doc, q.tag, fields))
-    return out
+        for obj in _pool(doc, q.tag, fields):
+            if flt is not None:
+                v = value(doc, obj, flt.field)
+                if bool(v and (target is None or v.lower() == target)) != wanted:
+                    continue
+            if q.granularity == "corpus":
+                group = None
+            elif q.granularity == "document":
+                group = doc.filename
+            else:
+                group = f"{doc.filename}:{_sentence(doc, obj)}"
+            groups[group][value(doc, obj, q.field) or None] += 1
+    return sorted(groups.items(), key=lambda kv: (kv[0] is not None, kv[0]))
 
 
-def _doc_occurrences(doc: Document, tag: str, fields: set[str]):
+def _pool(doc: Document, tag: str, fields: set[str]):
     if tag in ("tlink", "slink", "alink"):
         kind = tag.upper()
-        for link in doc.links.values():
-            if link.kind == kind:
-                values = {f: _link_field(doc, link, f) for f in fields}
-                yield _Occurrence(doc, values, _sentence(interval_span(doc, link.arg1)))
+        return [link for link in doc.links.values() if link.kind == kind]
     # the event/instance abstraction: instance-sourced fields make an event
     # query range over event instances rather than events
-    elif tag == "instance" or (tag == "event" and fields & set(INSTANCE_SOURCED)):
-        for inst in doc.instances.values():
-            values = {f: field_value(doc, inst, f) for f in fields}
-            yield _Occurrence(doc, values, _sentence(doc.events.get(inst.event_id)))
-    else:
-        pool = {"event": doc.events, "timex3": doc.timexes, "signal": doc.signals}[tag]
-        for span in pool.values():
-            values = {f: field_value(doc, span, f) for f in fields}
-            yield _Occurrence(doc, values, _sentence(span))
+    if tag == "instance" or (tag == "event" and not fields.isdisjoint(INSTANCE_SOURCED)):
+        return doc.instances.values()
+    return {"event": doc.events, "timex3": doc.timexes, "signal": doc.signals}[tag].values()
 
 
-def _link_field(doc: Document, link, f: str) -> str | None:
+def _link_field(doc: Document, link: Link, f: str) -> str | None:
     if f == "lid":
         return link.lid
     if f == "reltype":
@@ -178,42 +179,13 @@ def _link_field(doc: Document, link, f: str) -> str | None:
     return None
 
 
-def _sentence(span: Span | None) -> int | None:
-    return span.tokens[0].sentence_index if span and span.tokens else None
-
-
-# -- filtering ------------------------------------------------------------
-
-def apply_filter(occurrences: list[_Occurrence], flt: Filter | None) -> list[_Occurrence]:
-    if flt is None:
-        return occurrences
-    return [o for o in occurrences if _matches(o.values.get(flt.field), flt)]
-
-
-def _matches(value: str | None, flt: Filter) -> bool:
-    filled = value is not None and value != ""
-    if flt.op == "filled":
-        return filled
-    if flt.op == "unfilled":
-        return not filled
-    match = filled and value.lower() == (flt.value or "").lower()
-    return match if flt.op == "is" else not match
-
-
-def _group_key(occ: _Occurrence, granularity: str) -> str | None:
-    if granularity == "corpus":
-        return None
-    if granularity == "document":
-        return occ.doc.filename
-    sentence = "-" if occ.sentence is None else str(occ.sentence)
-    return f"{occ.doc.filename}:{sentence}"
-
-
-def _grouped(occurrences, q: Query):
-    groups: dict[str | None, list[_Occurrence]] = {}
-    for occ in occurrences:
-        groups.setdefault(_group_key(occ, q.granularity), []).append(occ)
-    return sorted(groups.items(), key=lambda kv: (kv[0] is not None, kv[0]))
+def _sentence(doc: Document, obj) -> str:
+    """The sentence of an occurrence (a link's arg1, an instance's event); "-" if none."""
+    if isinstance(obj, Link):
+        obj = interval_span(doc, obj.arg1)
+    elif isinstance(obj, EventInstance):
+        obj = doc.events.get(obj.event_id)
+    return str(obj.tokens[0].sentence_index) if obj and obj.tokens else "-"
 
 
 # -- reports --------------------------------------------------------------
@@ -221,12 +193,10 @@ def _grouped(occurrences, q: Query):
 def report_distribution(corpus: Corpus, q: Query) -> DistributionResult:
     """One row per distinct non-absent value, sorted by frequency descending
     then value; proportions are fractions of the group total."""
-    occurrences = apply_filter(_occurrences(corpus, q), q.filter)
     rows: list[ReportRow] = []
     total = 0
-    for group, occs in _grouped(occurrences, q):
-        counts = Counter(o.values[q.field] for o in occs
-                         if o.values[q.field] not in (None, ""))
+    for group, counts in _value_counts(corpus, q):
+        counts.pop(None, None)
         group_total = sum(counts.values())
         total += group_total
         ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -241,24 +211,17 @@ def report_distribution(corpus: Corpus, q: Query) -> DistributionResult:
 
 def report_state(corpus: Corpus, q: Query) -> StateResult:
     """Filled/unfilled occurrence counts for one field."""
-    occurrences = apply_filter(_occurrences(corpus, q), q.filter)
-    groups = []
-    for group, occs in _grouped(occurrences, q):
-        filled = sum(1 for o in occs if o.values[q.field] not in (None, ""))
-        groups.append(StateGroup(filled, len(occs) - filled, group))
-    if not groups:
-        groups = [StateGroup(0, 0, None)]
-    return StateResult(groups, grouped=q.granularity != "corpus")
+    groups = [StateGroup(counts.total() - counts[None], counts[None], group)
+              for group, counts in _value_counts(corpus, q)]
+    return StateResult(groups or [StateGroup(0, 0, None)],
+                       grouped=q.granularity != "corpus")
 
 
 def report_list(corpus: Corpus, q: Query) -> ListResult:
     """Sorted distinct non-absent values."""
-    occurrences = apply_filter(_occurrences(corpus, q), q.filter)
     rows: list[tuple[str | None, str]] = []
-    for group, occs in _grouped(occurrences, q):
-        values = sorted({o.values[q.field] for o in occs
-                        if o.values[q.field] not in (None, "")})
-        rows.extend((group, v) for v in values)
+    for group, counts in _value_counts(corpus, q):
+        rows.extend((group, v) for v in sorted(v for v in counts if v is not None))
     return ListResult(rows, grouped=q.granularity != "corpus")
 
 

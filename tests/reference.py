@@ -1,0 +1,161 @@
+"""The per-occurrence report algorithm, kept as an independent reference
+for the one-pass reports of tmlwb.query.
+
+It builds one occurrence object per tag occurrence with a dict of the
+fields the query needs, reads XML attributes by scanning every key of the
+tag's raw attribute dict, then filters and groups in separate passes.
+Only the result classes are shared with tmlwb.query, so that
+format_report renders both alike.
+"""
+from __future__ import annotations
+
+from collections import Counter
+from dataclasses import dataclass
+
+from tmlwb.model import (
+    INSTANCE, INSTANCE_SOURCED, Document, EventInstance, position_string,
+)
+from tmlwb.query import (
+    DistributionResult, Filter, ListResult, Query, ReportRow, StateGroup,
+    StateResult,
+)
+
+
+def _attr(attrs: dict[str, str], name: str) -> str | None:
+    for key, value in attrs.items():
+        if key.lower() == name:
+            return value if value != "" else None
+    return None
+
+
+def _field_of(doc: Document, obj, name: str) -> str | None:
+    if isinstance(obj, EventInstance):
+        if name == "eiid":
+            return obj.eiid
+        if name == "eventid":
+            return obj.event_id or None
+        if name in INSTANCE_SOURCED:
+            return _attr(obj.attrs, name)
+        obj = doc.events.get(obj.event_id)
+        if obj is None:
+            return None
+    if name in ("text", "lemma"):
+        return " ".join(getattr(t, "surface" if name == "text" else "lemma")
+                        for t in obj.tokens) or None
+    if name == "position":
+        return position_string((obj.tokens[0].sentence_index,
+                                obj.tokens[0].word_index) if obj.tokens else None)
+    if name in ("eid", "tid", "sid"):
+        return getattr(obj, name, None)
+    return _attr(getattr(obj, "attrs", {}), name)
+
+
+def _link_of(doc: Document, link, name: str) -> str | None:
+    if name == "signaltext":
+        signal = doc.signals.get(link.signal_id) if link.signal_id else None
+        return (" ".join(t.surface for t in signal.tokens) or None) if signal else None
+    return {
+        "lid": link.lid, "reltype": link.rel_type or None,
+        "arg1": link.arg1.ref_id, "arg2": link.arg2.ref_id,
+        "signalid": link.signal_id, "origin": link.origin,
+    }.get(name)
+
+
+@dataclass
+class _Occurrence:
+    doc: Document
+    values: dict[str, str | None]
+    sentence: int | None
+
+
+def _sentence(span) -> int | None:
+    return span.tokens[0].sentence_index if span and span.tokens else None
+
+
+def _arg1_span(doc: Document, link):
+    if link.arg1.kind == INSTANCE:
+        inst = doc.instances.get(link.arg1.ref_id)
+        return doc.events.get(inst.event_id) if inst else None
+    return doc.timexes.get(link.arg1.ref_id)
+
+
+def _occurrences(corpus, q: Query) -> list[_Occurrence]:
+    fields = {q.field}
+    if q.filter is not None:
+        fields.add(q.filter.field)
+    out = []
+    for doc in corpus.documents:
+        if q.tag in ("tlink", "slink", "alink"):
+            for link in doc.links.values():
+                if link.kind == q.tag.upper():
+                    out.append(_Occurrence(doc, {f: _link_of(doc, link, f) for f in fields},
+                                           _sentence(_arg1_span(doc, link))))
+        elif q.tag == "instance" or (q.tag == "event" and fields & set(INSTANCE_SOURCED)):
+            for inst in doc.instances.values():
+                out.append(_Occurrence(doc, {f: _field_of(doc, inst, f) for f in fields},
+                                       _sentence(doc.events.get(inst.event_id))))
+        else:
+            pool = {"event": doc.events, "timex3": doc.timexes,
+                    "signal": doc.signals}[q.tag]
+            for span in pool.values():
+                out.append(_Occurrence(doc, {f: _field_of(doc, span, f) for f in fields},
+                                       _sentence(span)))
+    return out
+
+
+def _matches(value: str | None, flt: Filter) -> bool:
+    filled = value is not None and value != ""
+    if flt.op == "filled":
+        return filled
+    if flt.op == "unfilled":
+        return not filled
+    match = filled and value.lower() == (flt.value or "").lower()
+    return match if flt.op == "is" else not match
+
+
+def _grouped(corpus, q: Query):
+    occurrences = _occurrences(corpus, q)
+    if q.filter is not None:
+        occurrences = [o for o in occurrences
+                       if _matches(o.values.get(q.filter.field), q.filter)]
+    groups: dict[str | None, list[_Occurrence]] = {}
+    for occ in occurrences:
+        if q.granularity == "corpus":
+            key = None
+        elif q.granularity == "document":
+            key = occ.doc.filename
+        else:
+            key = f"{occ.doc.filename}:{'-' if occ.sentence is None else occ.sentence}"
+        groups.setdefault(key, []).append(occ)
+    return sorted(groups.items(), key=lambda kv: (kv[0] is not None, kv[0]))
+
+
+def run_query(corpus, q: Query):
+    """The report result of tmlwb.query.run_query, computed per occurrence."""
+    grouped = q.granularity != "corpus"
+    if q.report == "state":
+        groups = []
+        for group, occs in _grouped(corpus, q):
+            filled = sum(1 for o in occs if o.values[q.field] not in (None, ""))
+            groups.append(StateGroup(filled, len(occs) - filled, group))
+        return StateResult(groups or [StateGroup(0, 0, None)], grouped=grouped)
+    if q.report == "list":
+        rows = []
+        for group, occs in _grouped(corpus, q):
+            values = sorted({o.values[q.field] for o in occs
+                             if o.values[q.field] not in (None, "")})
+            rows.extend((group, v) for v in values)
+        return ListResult(rows, grouped=grouped)
+    rows, total = [], 0
+    for group, occs in _grouped(corpus, q):
+        counts = Counter(o.values[q.field] for o in occs
+                         if o.values[q.field] not in (None, ""))
+        group_total = sum(counts.values())
+        total += group_total
+        ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        if q.min_freq is not None:
+            kept = [(v, n) for v, n in ordered if n >= q.min_freq]
+            folded = sum(n for _, n in ordered if n < q.min_freq)
+            ordered = kept + ([("Other", folded)] if folded else [])
+        rows.extend(ReportRow(v, n, n / group_total, group) for v, n in ordered)
+    return DistributionResult(rows, total, grouped=grouped)

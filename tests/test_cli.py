@@ -1,7 +1,9 @@
 import importlib.metadata
 import io
 import json
+import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -363,6 +365,42 @@ class TestMainEntry:
     def test_missing_script(self, workspace, capsys):
         assert main(["-f", "/nonexistent/script"]) == 1
         assert "no such script file" in capsys.readouterr().err
+
+    def test_script_not_utf8(self, workspace, tmp_path, capsys):
+        script = tmp_path / "script.tmlwb"
+        script.write_bytes(b"\xff\xfecorpus list\n")
+        assert main(["-f", str(script)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot read script file {script}: 'utf-8' codec can't decode")
+
+    def test_semicolon_inside_quotes(self, workspace, capsys):
+        code = main(["-c", f"corpus import {FIXTURE_DIR} as m; corpus use m; "
+                     'show list of event text where text is "a;b"; '
+                     "show list of event text where text is 'won;t'"])
+        assert code == 0
+        assert "error" not in capsys.readouterr().out
+
+    def test_split_commands(self):
+        assert cli._split_commands(
+            """a "b;c" ; d 'e;"f'; g\\;h; "i\\";j"; k""") == [
+            'a "b;c"', """d 'e;"f'""", "g\\;h", '"i\\";j"', "k"]
+
+    def test_closed_output_pipe(self, workspace):
+        """A reader that goes away (`tmlwb -c ... | head -1`) ends the run
+        with status 1 and no traceback."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "tmlwb.cli", "-c", "help; check list"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == b""
 
     def test_console_script_installed(self, workspace, monkeypatch, capsys):
         """The `tmlwb` console script declared in pyproject.toml resolves to

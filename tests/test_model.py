@@ -1,8 +1,10 @@
 import pytest
 
 from tmlwb.errors import QueryError
+from tmlwb.ingest import parse_document
 from tmlwb.model import (
-    IntervalRef, Link, INSTANCE, link_signal_text, resolve_event_attribute,
+    IntervalRef, Link, INSTANCE, field_value, link_signal_text,
+    resolve_event_attribute,
 )
 from tmlwb.point_algebra import tlink_to_assertions
 
@@ -71,6 +73,25 @@ class TestResolveEventAttribute:
         for doc in corpus.documents:
             for attribute in ("pos", "tense", "text", "class"):
                 assert len(resolve_event_attribute(doc, attribute)) == len(doc.instances)
+
+
+class TestAttributeCase:
+    def test_first_key_of_a_lowercase_form_wins(self, tmp_path):
+        """Names are matched without regard to case; of two names that differ
+        only in case, the first in the tag wins. attrs stays raw, and tags
+        with the same attribute names share one name map."""
+        path = tmp_path / "case.tml"
+        path.write_text(
+            '<TimeML><EVENT eid="e1" Class="STATE" class="OCCURRENCE">ran</EVENT> '
+            '<EVENT eid="e2" class="OCCURRENCE" Class="STATE">ran</EVENT> '
+            '<EVENT eid="e3" Class="" class="OCCURRENCE">ran</EVENT></TimeML>')
+        doc = parse_document(path)
+        e1, e2, e3 = (doc.events[eid] for eid in ("e1", "e2", "e3"))
+        assert [field_value(doc, e, "class") for e in (e1, e2, e3)] == [
+            "STATE", "OCCURRENCE", None]
+        assert e1.attrs == {"eid": "e1", "Class": "STATE", "class": "OCCURRENCE"}
+        assert e1.attr_keys is e3.attr_keys
+        assert e1.attr_keys is not e2.attr_keys
 
 
 class TestLinkSignalText:

@@ -1,12 +1,17 @@
+import itertools
 import random
 
 import pytest
 
+import reference
 from tmlwb.errors import QueryError
-from tmlwb.model import Corpus
+from tmlwb.model import (
+    INSTANCE, TIMEX, Corpus, Document, Event, EventInstance, IntervalRef, Link,
+    Signal, Timex3, Token,
+)
 from tmlwb.query import (
-    Filter, Query, TAG_FIELDS, format_percent, format_report,
-    report_distribution, report_list, report_state, run_query,
+    FORMATS, GRANULARITIES, REPORTS, Filter, Query, TAG_FIELDS, format_percent,
+    format_report, report_distribution, report_list, report_state, run_query,
 )
 
 from conftest import golden_check
@@ -231,3 +236,102 @@ class TestRandomQueryProperty:
             d = report_distribution(corpus, Query("distribution", tag, field, filter=flt))
             s = report_state(corpus, Query("state", tag, field, filter=flt))
             assert d.total == s.filled
+
+
+def random_report_corpus(rng: random.Random, n_docs=3) -> Corpus:
+    """A corpus of documents built tag by tag, with the oddities reports
+    must survive: attribute names that differ only in case, empty values,
+    MAKEINSTANCEs whose eventID dangles or is empty, links whose signalID
+    names no SIGNAL or whose arguments dangle, and spans with no tokens."""
+    values = ["a", "A", "b", "B b", ""]
+
+    def attrs(id_attr, tag_id, names):
+        out = {id_attr: tag_id}
+        for name in rng.sample(names, rng.randint(0, len(names))):
+            for key in rng.sample([name, name.upper(), name.capitalize()],
+                                  rng.choice([1, 1, 2])):
+                out[key] = rng.choice(values)
+        return out
+
+    corpus = Corpus("random", "fold=none")
+    for d in range(n_docs):
+        doc = Document(doc_id=d + 1, filename=f"d{d}.tml")
+        doc.tokens = [Token(s, w, rng.choice(["Ran", "ran", "x", "then"]),
+                            rng.choice(["run", "x"]))
+                      for s in range(rng.randint(1, 12)) for w in range(rng.randint(1, 4))]
+
+        def span():
+            if rng.random() < 0.2:
+                return []
+            start = rng.randrange(len(doc.tokens))
+            return doc.tokens[start:start + rng.randint(1, 3)]
+
+        for i in range(rng.randint(0, 8)):
+            doc.events[f"e{i}"] = Event(f"e{i}", attrs("eid", f"e{i}", [
+                "class", "tense", "pos"]), span())
+        for i in range(rng.randint(0, 10)):
+            event_id = rng.choice(sorted(doc.events) + ["e99", ""])
+            doc.instances[f"ei{i}"] = EventInstance(f"ei{i}", event_id, {
+                "eventID": event_id, **attrs("eiid", f"ei{i}", [
+                    "tense", "aspect", "polarity", "pos", "signalid", "class"])})
+        for i in range(rng.randint(0, 4)):
+            doc.timexes[f"t{i}"] = Timex3(f"t{i}", attrs("tid", f"t{i}", [
+                "type", "value", "mod"]), span())
+        for i in range(rng.randint(0, 3)):
+            doc.signals[f"s{i}"] = Signal(f"s{i}", span())
+        intervals = ([IntervalRef(INSTANCE, i) for i in list(doc.instances) + ["ei99"]]
+                     + [IntervalRef(TIMEX, t) for t in list(doc.timexes) + ["t99"]])
+        for i in range(rng.randint(0, 10)):
+            kind = rng.choice(["TLINK", "TLINK", "SLINK", "ALINK"])
+            doc.links[f"l{i}"] = Link(
+                f"l{i}", kind, rng.choice(["BEFORE", "INCLUDES", ""]),
+                rng.choice(intervals), rng.choice(intervals),
+                signal_id=rng.choice(sorted(doc.signals) + ["s99", "", None]),
+                origin=rng.choice(["USER", "closure", "", None]))
+        corpus.documents.append(doc)
+    return corpus
+
+
+class TestMatchesReference:
+    """The one-pass reports against the per-occurrence reference
+    (tests/reference.py) on random corpora, in every report x granularity
+    x filter op, with random tags, fields, formats and filter values."""
+
+    def test_random_corpora(self):
+        rng = random.Random(6006)
+        ops = [None, "is", "is_not", "filled", "unfilled"]
+        seen = set()
+        for _ in range(40):
+            corpus = random_report_corpus(rng)
+            seen.update(_oddities(corpus))
+            for report, granularity, op in itertools.product(REPORTS, GRANULARITIES, ops):
+                tag = rng.choice(sorted(TAG_FIELDS))
+                flt = None
+                if op is not None:
+                    flt = Filter(rng.choice(TAG_FIELDS[tag]), op,
+                                 rng.choice(["a", "A", "b b", "BEFORE", "ran", ""]))
+                q = Query(report, tag, rng.choice(TAG_FIELDS[tag]), filter=flt,
+                          fmt=rng.choice(FORMATS), granularity=granularity,
+                          min_freq=rng.choice([None, None, 2]))
+                assert (format_report(run_query(corpus, q), q)
+                        == format_report(reference.run_query(corpus, q), q)), q
+        assert seen == {"case duplicates", "empty value", "dangling eventID",
+                             "TLINK signalID without SIGNAL", "span without tokens"}
+
+
+def _oddities(corpus):
+    for doc in corpus.documents:
+        for tag in [*doc.events.values(), *doc.instances.values(), *doc.timexes.values()]:
+            if len({k.lower() for k in tag.attrs}) < len(tag.attrs):
+                yield "case duplicates"
+            if "" in tag.attrs.values():
+                yield "empty value"
+        for inst in doc.instances.values():
+            if inst.event_id and inst.event_id not in doc.events:
+                yield "dangling eventID"
+        for link in doc.tlinks:
+            if link.signal_id and link.signal_id not in doc.signals:
+                yield "TLINK signalID without SIGNAL"
+        for span in [*doc.events.values(), *doc.timexes.values(), *doc.signals.values()]:
+            if not span.tokens:
+                yield "span without tokens"
