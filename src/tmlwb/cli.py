@@ -420,12 +420,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.script is not None:
         path = Path(args.script)
         if not path.is_file():
-            print(f"error: no such script file: {path}", file=sys.stderr)
+            print(f"error: no such script file: {path}")
             return 1
         try:
             text = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
-            print(f"error: cannot read script file {path}: {exc}", file=sys.stderr)
+            print(f"error: cannot read script file {path}: {exc}")
             return 1
         return run_commands(session, text.splitlines())
     return repl(session)

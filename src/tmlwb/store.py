@@ -8,14 +8,48 @@ the TMLWB_HOME environment variable):
 
 The on-disk format is private to the tool; only the save/load round trip is
 contracted. Writes take an exclusive lock file; reads do not.
+
+corpus.json is store format version 2, one JSON object:
+
+    {"version": 2, "name", "note", "documents": [{
+        "doc_id", "filename", "warnings",
+        "sentences": [token count of each sentence],
+        "surfaces": [...], "lemmas": [...],        # one entry per token
+        "events": [[eid, attrs, first, end]],
+        "instances": [[eiid, event_id, attrs]],
+        "timexes": [[tid, attrs, first, end]],
+        "signals": [[sid, first, end]],
+        "links": [[lid, kind, rel_type, arg1_kind, arg1_id,
+                   arg2_kind, arg2_id, signal_id, origin]]}]}
+
+Tokens are columns: a token's sentence and word index follow from the
+sentence lengths, so both must count up from 0 in reading order. A tag's
+tokens are the slice [first, end) of the document's tokens; ingest's
+bisection always yields one contiguous run. save_corpus refuses a document
+that breaks either rule. Records are written in sorted-id order and with
+sorted attribute names, so a loaded corpus iterates every dict in sorted
+key order. A file without "version" was written before versions existed;
+_legacy_to_v2 converts it to the version-2 dict, which the one loader then
+builds. Any other version is a StoreError. corpus_fingerprint hashes the
+canonical dict of _corpus_to_json, not the disk encoding, so fingerprints
+do not depend on the format version.
+
+A load builds about half a million objects. The cyclic garbage collector
+would rescan the partly built corpus many times over, at a cost that grows
+with the live heap, so load_corpus builds with the collector paused and
+then freezes the result (gc.freeze), which keeps it out of every later
+collection. The model has no reference cycles, so reference counting alone
+frees a replaced corpus, frozen or not.
 """
 from __future__ import annotations
 
+import gc
 import json
 import os
 import shutil
 import tempfile
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +63,7 @@ from .model import (
 ENV_HOME = "TMLWB_HOME"
 DEFAULT_HOME = "~/.tml-workbench"
 _ENTRY_KEYS = {"documents", "note", "imported"}
+STORE_VERSION = 2
 
 
 def check_corpus_name(name: str) -> None:
@@ -69,19 +104,21 @@ class Store:
 
     @contextmanager
     def _write_lock(self):
-        self.root.mkdir(parents=True, exist_ok=True)
+        with _writing(self.root):
+            self.root.mkdir(parents=True, exist_ok=True)
         lock = self.root / ".lock"
-        try:
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise StoreError(f"workspace {self.root} is locked by another "
-                             f"writer{_lock_owner(lock)}") from None
-        try:
-            with os.fdopen(fd, "w", encoding="ascii") as owner:
-                owner.write(f"{os.getpid()} {_now()}")
-        except OSError as exc:
-            lock.unlink(missing_ok=True)
-            raise StoreError(f"cannot write {lock}: {exc.strerror}") from None
+        with _writing(lock):
+            try:
+                fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            except FileExistsError:
+                raise StoreError(f"workspace {self.root} is locked by another "
+                                 f"writer{_lock_owner(lock)}") from None
+            try:
+                with os.fdopen(fd, "w", encoding="ascii") as owner:
+                    owner.write(f"{os.getpid()} {_now()}")
+            except OSError:
+                lock.unlink(missing_ok=True)
+                raise
         try:
             yield
         finally:
@@ -102,8 +139,10 @@ class Store:
 
     def _write_catalog_raw(self, raw: dict) -> None:
         tmp = self._catalog_path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(raw, indent=1, sort_keys=True), encoding="utf-8")
-        tmp.replace(self._catalog_path)
+        with _writing(tmp):
+            tmp.write_text(json.dumps(raw, indent=1, sort_keys=True), encoding="utf-8")
+        with _writing(self._catalog_path):
+            tmp.replace(self._catalog_path)
 
     def list_corpora(self) -> StoreCatalog:
         raw = self._read_catalog_raw()
@@ -130,8 +169,9 @@ class Store:
             raw = self._read_catalog_raw()
             if corpus.name in raw["entries"]:
                 raise StoreError(f"corpus {corpus.name!r} already exists")
-            payload = json.dumps(_corpus_to_json(corpus), sort_keys=True)
-            try:
+            payload = json.dumps(_corpus_to_disk(corpus), sort_keys=True,
+                                 separators=(",", ":"))
+            with _writing(target):
                 target.parent.mkdir(exist_ok=True)
                 for leftover in target.parent.glob(".import-*"):
                     if leftover.name not in raw["entries"]:
@@ -144,8 +184,6 @@ class Store:
                     tmp.rename(target)
                 finally:
                     shutil.rmtree(tmp, ignore_errors=True)
-            except OSError as exc:
-                raise StoreError(f"cannot write {target}: {exc.strerror}") from None
             raw["entries"][corpus.name] = {
                 "documents": len(corpus.documents),
                 "note": corpus.note,
@@ -158,7 +196,9 @@ class Store:
         if name not in raw["entries"]:
             available = ", ".join(sorted(raw["entries"])) or "(none)"
             raise StoreError(f"unknown corpus {name!r}; available: {available}")
-        return _corpus_from_json(_read_json(self._corpus_dir(name) / "corpus.json"))
+        path = self._corpus_dir(name) / "corpus.json"
+        with _collector_paused():
+            return _corpus_from_file(path)
 
     def use_corpus(self, name: str) -> Corpus:
         """Load a corpus and mark it active for subsequent sessions."""
@@ -194,6 +234,34 @@ class Store:
 
 def _now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S")
+
+
+@contextmanager
+def _writing(path: Path):
+    """Turn an OSError of the block into StoreError("cannot write path")."""
+    try:
+        yield
+    except OSError as exc:
+        raise StoreError(f"cannot write {path}: {exc.strerror}") from None
+
+
+@contextmanager
+def _collector_paused():
+    """Build a corpus with the cyclic garbage collector paused, and freeze
+    what was built if the build succeeds (see the module docstring).
+
+    Collecting first keeps garbage cycles out of the frozen generation; the
+    caller's collector state is restored either way.
+    """
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+        gc.freeze()
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _lock_owner(lock: Path) -> str:
@@ -252,38 +320,155 @@ def _doc_to_json(doc: Document) -> dict:
     }
 
 
-def _corpus_from_json(payload: dict) -> Corpus:
-    return Corpus(
-        name=payload["name"],
-        note=payload["note"],
-        documents=[_doc_from_json(d) for d in payload["documents"]],
+def _corpus_to_disk(corpus: Corpus) -> dict:
+    """The version-2 dict of a corpus (see the module docstring)."""
+    return {
+        "version": STORE_VERSION,
+        "name": corpus.name,
+        "note": corpus.note,
+        "documents": [_doc_to_disk(d) for d in corpus.documents],
+    }
+
+
+def _doc_to_disk(doc: Document) -> dict:
+    """The version-2 dict of a document; StoreError if it breaks the
+    layout's rules (see the module docstring)."""
+    index = {id(tok): i for i, tok in enumerate(doc.tokens)}
+
+    def refuse(what: str):
+        return StoreError(f"cannot save {doc.filename}: {what}")
+
+    def span(family: str, tag_id: str, tokens: list[Token]) -> list[int]:
+        try:
+            return _span([index[id(t)] for t in tokens])
+        except (KeyError, ValueError):
+            raise refuse(f"the tokens of {family} {tag_id} are not one "
+                         "contiguous run of the document's tokens") from None
+
+    try:
+        sentences = _sentence_lengths(
+            [(t.sentence_index, t.word_index) for t in doc.tokens])
+    except ValueError as exc:
+        raise refuse(str(exc)) from None
+    return {
+        "doc_id": doc.doc_id,
+        "filename": doc.filename,
+        "warnings": doc.warnings,
+        "sentences": sentences,
+        "surfaces": [t.surface for t in doc.tokens],
+        "lemmas": [t.lemma for t in doc.tokens],
+        "events": [[eid, e.attrs, *span("EVENT", eid, e.tokens)]
+                   for eid, e in sorted(doc.events.items())],
+        "instances": [[eiid, i.event_id, i.attrs]
+                      for eiid, i in sorted(doc.instances.items())],
+        "timexes": [[tid, t.attrs, *span("TIMEX3", tid, t.tokens)]
+                    for tid, t in sorted(doc.timexes.items())],
+        "signals": [[sid, *span("SIGNAL", sid, s.tokens)]
+                    for sid, s in sorted(doc.signals.items())],
+        "links": [[lid, l.kind, l.rel_type, l.arg1.kind, l.arg1.ref_id,
+                   l.arg2.kind, l.arg2.ref_id, l.signal_id, l.origin]
+                  for lid, l in sorted(doc.links.items())],
+    }
+
+
+def _sentence_lengths(positions: list[tuple[int, int]]) -> list[int]:
+    """The token count of each sentence, from the (sentence, word) index
+    of every token in reading order; both must count up from 0."""
+    lengths = list(Counter(s for s, _ in positions).values())
+    if positions != [(s, w) for s, n in enumerate(lengths) for w in range(n)]:
+        raise ValueError("token positions do not count sentences and words "
+                         "up from 0")
+    return lengths
+
+
+def _span(indices: list[int]) -> list[int]:
+    """[first, end) of a run of consecutive token indices ([0, 0] if none)."""
+    first = indices[0] if indices else 0
+    end = first + len(indices)
+    if indices != list(range(first, end)):
+        raise ValueError("token indices are not one contiguous run")
+    return [first, end]
+
+
+def _corpus_from_file(path: Path) -> Corpus:
+    """Load a corpus.json of format version 2, or an unversioned one."""
+    payload = _read_json(path)
+    try:
+        if "version" not in payload:
+            payload = _legacy_to_v2(payload)
+        elif payload["version"] != STORE_VERSION:
+            raise StoreError(
+                f"cannot read {path}: store format version "
+                f"{payload['version']!r} is unknown to this tmlwb, which "
+                f"reads version {STORE_VERSION}")
+        return Corpus(name=payload["name"], note=payload["note"],
+                      documents=[_doc_from_disk(d) for d in payload["documents"]])
+    except (LookupError, TypeError, ValueError) as exc:
+        raise StoreError(f"cannot read {path}: not a tmlwb corpus "
+                         f"({type(exc).__name__}: {exc})") from None
+
+
+def _doc_from_disk(payload: dict) -> Document:
+    sentences = payload["sentences"]
+    surfaces, lemmas = payload["surfaces"], payload["lemmas"]
+    count = sum(sentences)
+    if not len(surfaces) == len(lemmas) == count:
+        raise ValueError(f"{count} tokens but {len(surfaces)} surfaces "
+                         f"and {len(lemmas)} lemmas")
+    tokens = list(map(Token,
+                      [s for s, n in enumerate(sentences) for _ in range(n)],
+                      [w for n in sentences for w in range(n)],
+                      surfaces, lemmas))
+    events, timexes, signals = payload["events"], payload["timexes"], payload["signals"]
+    for record in (*events, *timexes, *signals):
+        if not 0 <= record[-2] <= record[-1] <= count:
+            raise ValueError(f"span {record[-2:]} of {record[0]} is out of range")
+    return Document(
+        doc_id=payload["doc_id"],
+        filename=payload["filename"],
+        tokens=tokens,
+        events={eid: Event(eid, attrs, tokens[first:end])
+                for eid, attrs, first, end in events},
+        instances={eiid: EventInstance(eiid, event_id, attrs)
+                   for eiid, event_id, attrs in payload["instances"]},
+        timexes={tid: Timex3(tid, attrs, tokens[first:end])
+                 for tid, attrs, first, end in timexes},
+        signals={sid: Signal(sid, tokens[first:end]) for sid, first, end in signals},
+        links={lid: Link(lid, kind, rel_type, IntervalRef(kind1, id1),
+                         IntervalRef(kind2, id2), signal_id, origin)
+               for lid, kind, rel_type, kind1, id1, kind2, id2, signal_id, origin
+               in payload["links"]},
+        warnings=payload["warnings"],
     )
 
 
-def _doc_from_json(payload: dict) -> Document:
-    tokens = [Token(s, w, surface, lemma)
-              for s, w, surface, lemma in payload["tokens"]]
+def _legacy_to_v2(payload: dict) -> dict:
+    """The version-2 dict of an unversioned corpus.json, whose documents
+    hold [sentence, word, surface, lemma] tokens and, per tag, a dict of
+    its fields with its token indices."""
+    def doc(d: dict) -> dict:
+        tokens = d["tokens"]
+        return {
+            "doc_id": d["doc_id"],
+            "filename": d["filename"],
+            "warnings": d["warnings"],
+            "sentences": _sentence_lengths([(s, w) for s, w, _, _ in tokens]),
+            "surfaces": [t[2] for t in tokens],
+            "lemmas": [t[3] for t in tokens],
+            "events": [[eid, e["attrs"], *_span(e["tokens"])]
+                       for eid, e in d["events"].items()],
+            "instances": [[eiid, i["event_id"], i["attrs"]]
+                          for eiid, i in d["instances"].items()],
+            "timexes": [[tid, t["attrs"], *_span(t["tokens"])]
+                        for tid, t in d["timexes"].items()],
+            "signals": [[sid, *_span(s["tokens"])] for sid, s in d["signals"].items()],
+            "links": [[lid, l["kind"], l["rel_type"], *l["arg1"], *l["arg2"],
+                       l["signal_id"], l["origin"]] for lid, l in d["links"].items()],
+        }
 
-    def toks(indices):
-        return [tokens[i] for i in indices]
-
-    doc = Document(doc_id=payload["doc_id"], filename=payload["filename"],
-                   tokens=tokens, warnings=list(payload["warnings"]))
-    for eid, e in payload["events"].items():
-        doc.events[eid] = Event(eid, dict(e["attrs"]), toks(e["tokens"]))
-    for eiid, i in payload["instances"].items():
-        doc.instances[eiid] = EventInstance(eiid, i["event_id"], dict(i["attrs"]))
-    for tid, t in payload["timexes"].items():
-        doc.timexes[tid] = Timex3(tid, dict(t["attrs"]), toks(t["tokens"]))
-    for sid, s in payload["signals"].items():
-        doc.signals[sid] = Signal(sid, toks(s["tokens"]))
-    for lid, l in payload["links"].items():
-        doc.links[lid] = Link(
-            lid, l["kind"], l["rel_type"],
-            IntervalRef(l["arg1"][0], l["arg1"][1]),
-            IntervalRef(l["arg2"][0], l["arg2"][1]),
-            signal_id=l["signal_id"], origin=l["origin"])
-    return doc
+    return {"version": STORE_VERSION, "name": payload["name"],
+            "note": payload["note"],
+            "documents": [doc(d) for d in payload["documents"]]}
 
 
 def corpus_fingerprint(corpus: Corpus) -> str:

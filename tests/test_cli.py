@@ -364,13 +364,14 @@ class TestMainEntry:
 
     def test_missing_script(self, workspace, capsys):
         assert main(["-f", "/nonexistent/script"]) == 1
-        assert "no such script file" in capsys.readouterr().err
+        assert capsys.readouterr().out == (
+            "error: no such script file: /nonexistent/script\n")
 
     def test_script_not_utf8(self, workspace, tmp_path, capsys):
         script = tmp_path / "script.tmlwb"
         script.write_bytes(b"\xff\xfecorpus list\n")
         assert main(["-f", str(script)]) == 1
-        assert capsys.readouterr().err.startswith(
+        assert capsys.readouterr().out.startswith(
             f"error: cannot read script file {script}: 'utf-8' codec can't decode")
 
     def test_semicolon_inside_quotes(self, workspace, capsys):

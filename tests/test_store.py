@@ -1,15 +1,25 @@
+import gc
+import json
 import os
+import random
 import time
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from tmlwb.cli import Session, main, run_commands
 from tmlwb.errors import StoreError
-from tmlwb.ingest import CAVAT_FOLD, import_corpus
-from tmlwb.store import Store, corpus_fingerprint
+from tmlwb.ingest import CAVAT_FOLD, NO_FOLD, import_corpus
+from tmlwb.model import (
+    Corpus, Document, Event, EventInstance, IntervalRef, Link, Signal,
+    Timex3, Token,
+)
+from tmlwb.store import Store, _corpus_to_json, corpus_fingerprint
 
 from conftest import FIXTURE_DIR
+from test_ingest import random_timeml
 
 
 @pytest.fixture
@@ -176,3 +186,220 @@ class TestCrashSafety:
         with pytest.raises(StoreError, match="invalid corpus name"):
             store.save_corpus(replace(corpus, name=name))
         assert not workspace.exists()
+
+
+def legacy_corpus_from_json(payload: dict) -> Corpus:
+    """The reader of the unversioned store format, kept as the reference
+    that version 2 must load alike."""
+    docs = []
+    for d in payload["documents"]:
+        tokens = [Token(s, w, surface, lemma) for s, w, surface, lemma in d["tokens"]]
+
+        def toks(indices):
+            return [tokens[i] for i in indices]
+
+        doc = Document(doc_id=d["doc_id"], filename=d["filename"],
+                       tokens=tokens, warnings=list(d["warnings"]))
+        for eid, e in d["events"].items():
+            doc.events[eid] = Event(eid, dict(e["attrs"]), toks(e["tokens"]))
+        for eiid, i in d["instances"].items():
+            doc.instances[eiid] = EventInstance(eiid, i["event_id"], dict(i["attrs"]))
+        for tid, t in d["timexes"].items():
+            doc.timexes[tid] = Timex3(tid, dict(t["attrs"]), toks(t["tokens"]))
+        for sid, sig in d["signals"].items():
+            doc.signals[sid] = Signal(sid, toks(sig["tokens"]))
+        for lid, l in d["links"].items():
+            doc.links[lid] = Link(
+                lid, l["kind"], l["rel_type"], IntervalRef(*l["arg1"]),
+                IntervalRef(*l["arg2"]), signal_id=l["signal_id"], origin=l["origin"])
+        docs.append(doc)
+    return Corpus(name=payload["name"], note=payload["note"], documents=docs)
+
+
+def legacy_payload(corpus: Corpus) -> str:
+    """A corpus.json as the unversioned store wrote it."""
+    return json.dumps(_corpus_to_json(corpus), sort_keys=True)
+
+
+def loaded_shape(corpus: Corpus) -> list:
+    """Iteration order of every tag dict and attribute dict, and the token
+    lists, of each document."""
+    shape = []
+    for d in corpus.documents:
+        families = (d.events, d.instances, d.timexes, d.signals, d.links)
+        shape.append((
+            [list(family) for family in families],
+            [list(tag.attrs) for family in families[:3] for tag in family.values()],
+            d.tokens,
+            [tag.tokens for family in (d.events, d.timexes, d.signals)
+             for tag in family.values()],
+            d.warnings,
+        ))
+    return shape
+
+
+def random_corpus(directory: Path, count: int) -> Corpus:
+    directory.mkdir()
+    for seed in range(count):
+        (directory / f"r{seed:03}.tml").write_text(
+            random_timeml(random.Random(seed)), encoding="utf-8")
+    return import_corpus(directory, "random")
+
+
+class TestFormatVersion2:
+    def assert_loads_like_legacy(self, store, corpus):
+        store.save_corpus(corpus)
+        loaded = store.load_corpus(corpus.name)
+        expected = legacy_corpus_from_json(json.loads(legacy_payload(corpus)))
+        assert corpus_fingerprint(loaded) == corpus_fingerprint(expected)
+        assert corpus_fingerprint(loaded) == corpus_fingerprint(corpus)
+        assert loaded_shape(loaded) == loaded_shape(expected)
+
+    @pytest.mark.parametrize("fold", [NO_FOLD, CAVAT_FOLD], ids=lambda f: f.name)
+    def test_fixtures_load_like_legacy(self, store, fold):
+        self.assert_loads_like_legacy(store, import_corpus(FIXTURE_DIR, "fx", fold))
+
+    def test_random_documents_load_like_legacy(self, store, tmp_path):
+        corpus = random_corpus(tmp_path / "random", 200)
+        assert len(corpus.documents) == 200
+        self.assert_loads_like_legacy(store, corpus)
+
+    def test_file_is_version_2(self, store, corpus, workspace):
+        store.save_corpus(corpus)
+        payload = json.loads((workspace / "corpora" / "fixture" / "corpus.json")
+                             .read_text(encoding="utf-8"))
+        assert payload["version"] == 2
+        doc = payload["documents"][0]
+        assert sum(doc["sentences"]) == len(doc["surfaces"]) == len(doc["lemmas"])
+
+    def test_unversioned_file_loads(self, store, corpus, workspace):
+        store.save_corpus(corpus)
+        path = workspace / "corpora" / "fixture" / "corpus.json"
+        path.write_text(legacy_payload(corpus), encoding="utf-8")
+        loaded = store.load_corpus("fixture")
+        expected = legacy_corpus_from_json(json.loads(legacy_payload(corpus)))
+        assert corpus_fingerprint(loaded) == corpus_fingerprint(corpus)
+        assert loaded_shape(loaded) == loaded_shape(expected)
+
+    def test_unknown_version_refused(self, store, corpus, workspace):
+        store.save_corpus(corpus)
+        path = workspace / "corpora" / "fixture" / "corpus.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["version"] = 99
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(StoreError, match="store format version 99 is unknown"):
+            store.load_corpus("fixture")
+
+    def test_non_contiguous_span_refused(self, store, corpus, workspace):
+        doc = corpus.document_by_filename("consistent.tml")
+        event = next(iter(doc.events.values()))
+        gapped = replace(event, tokens=[doc.tokens[0], doc.tokens[2]])
+        broken = replace(doc, events={**doc.events, event.eid: gapped})
+        with pytest.raises(StoreError, match=f"cannot save {doc.filename}: the "
+                           f"tokens of EVENT {event.eid} are not one contiguous run"):
+            store.save_corpus(replace(corpus, documents=[broken]))
+        assert store.list_corpora().entries == []
+        assert not (workspace / "corpora").exists()
+        assert not (workspace / ".lock").exists()
+
+    def test_token_positions_with_a_gap_refused(self, store, corpus):
+        doc = corpus.documents[0]
+        tokens = [replace(t, sentence_index=t.sentence_index + 1) for t in doc.tokens]
+        broken = replace(doc, tokens=tokens, events={}, timexes={}, signals={})
+        with pytest.raises(StoreError, match="do not count sentences and words up from 0"):
+            store.save_corpus(replace(corpus, documents=[broken]))
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda p: p["documents"][0].pop("surfaces"),
+        lambda p: p["documents"][0]["events"].append(["e999", {}, 0, 10 ** 6]),
+        lambda p: p["documents"][0]["events"].append(["e999", {}, 3, 2]),
+        lambda p: p["documents"][0]["sentences"].append(1),
+        lambda p: p["documents"][0]["links"].append(["l999", "TLINK"]),
+        lambda p: p["documents"].append(None),
+        lambda p: p.update(documents=7),
+    ])
+    def test_corrupt_file_is_an_error_line(self, store, corpus, workspace, capsys,
+                                           corrupt):
+        store.save_corpus(corpus)
+        path = workspace / "corpora" / "fixture" / "corpus.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        corrupt(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["-c", "corpus use fixture"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"error: cannot read {path}: not a tmlwb corpus")
+        assert out.count("\n") == 1
+
+
+class TestWriteFailures:
+    def test_workspace_under_a_file(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "file").touch()
+        monkeypatch.setenv("TMLWB_HOME", str(tmp_path / "file" / "wb"))
+        assert main(["-c", f"corpus import {FIXTURE_DIR} as fx"]) == 1
+        assert capsys.readouterr().out == (
+            f"error: cannot write {tmp_path / 'file' / 'wb'}: Not a directory\n")
+
+    def test_catalog_tmp_is_a_directory(self, store, corpus, workspace, capsys):
+        store.save_corpus(corpus)
+        (workspace / "catalog.tmp").mkdir()
+        assert main(["-c", "corpus use fixture"]) == 1
+        assert capsys.readouterr().out == (
+            f"error: cannot write {workspace / 'catalog.tmp'}: Is a directory\n")
+        assert not (workspace / ".lock").exists()
+
+
+class TestCollectorHandling:
+    @pytest.fixture
+    def session(self, store, corpus):
+        store.save_corpus(corpus)
+        return Session(store=store)
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_restored(self, store, corpus, workspace, enabled):
+        store.save_corpus(corpus)
+        (gc.enable if enabled else gc.disable)()
+        store.load_corpus("fixture")
+        assert gc.isenabled() is enabled
+        (workspace / "corpora" / "fixture" / "corpus.json").write_text(
+            '{"version": 2}', encoding="utf-8")
+        with pytest.raises(StoreError):
+            store.load_corpus("fixture")
+        assert gc.isenabled() is enabled
+
+    def test_replaced_corpus_is_freed(self, session):
+        assert run_commands(session, ["corpus use fixture"]) == 0
+        first = weakref.ref(session.corpus.documents[0])
+        assert run_commands(session, ["corpus use fixture"]) == 0
+        assert first() is None
+
+    def test_earlier_garbage_cycle_collected(self, session):
+        class Node:
+            pass
+
+        gc.disable()
+        node = Node()
+        node.cycle = node
+        ref = weakref.ref(node)
+        del node
+        assert ref() is not None
+        assert run_commands(session, ["corpus use fixture"]) == 0
+        assert ref() is None
+
+    def test_loaded_corpus_frozen(self, session):
+        assert run_commands(session, ["corpus use fixture"]) == 0
+        collected = {id(obj) for obj in gc.get_objects()}
+        doc = session.corpus.documents[0]
+        assert gc.is_tracked(doc) and id(doc) not in collected
+
+    def test_freeze_count_flat(self, session):
+        counts = []
+        for _ in range(5):
+            assert run_commands(session, ["corpus use fixture"]) == 0
+            counts.append(gc.get_freeze_count())
+        assert counts == [counts[0]] * 5
