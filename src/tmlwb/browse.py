@@ -3,7 +3,6 @@ and TLINK-in-context views."""
 from __future__ import annotations
 
 import difflib
-import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape, quoteattr
 
 from .errors import CommandError
@@ -92,27 +91,6 @@ def _link_attrs(link: Link) -> dict[str, str]:
 
 def _serialize_link(link: Link) -> str:
     return f"<{link.kind} {_attr_string(('lid', link.lid), _link_attrs(link))}/>"
-
-
-def fragment_normal_form(xml_text: str) -> tuple[str, dict[str, str], str]:
-    """(tag name, attributes, whitespace-normalized text) of a fragment."""
-    elem = ET.fromstring(xml_text)
-    text = " ".join("".join(elem.itertext()).split())
-    return elem.tag, dict(elem.attrib), text
-
-
-def tag_normal_form(doc: Document, tag: str, tag_id: str) -> tuple[str, dict[str, str], str]:
-    """Normal form of a stored tag, for round-trip comparison."""
-    obj = _lookup(doc, tag, tag_id)
-    if isinstance(obj, Event):
-        return "EVENT", dict(obj.attrs), obj.text
-    if isinstance(obj, Timex3):
-        return "TIMEX3", dict(obj.attrs), obj.text
-    if isinstance(obj, Signal):
-        return "SIGNAL", {"sid": obj.sid}, obj.text
-    if isinstance(obj, EventInstance):
-        return "MAKEINSTANCE", dict(obj.attrs), ""
-    return obj.kind, {"lid": obj.lid, **_link_attrs(obj)}, ""
 
 
 # -- display --------------------------------------------------------------

@@ -80,23 +80,22 @@ class CheckRun:
         return sum(1 for f in self.findings if f.severity == "ERROR")
 
 
-def resolve_targets(corpus: Corpus, targets, browsed: Document | None = None):
-    """Map target tokens (doc ids, filenames, "all", or None for the
+def resolve_targets(corpus: Corpus, targets: list[str] | str | None,
+                    browsed: Document | None = None):
+    """Map targets (a list of doc ids and filenames, "all", or None for the
     browsed document) to documents; fails before any check runs."""
     if targets is None:
         if browsed is None:
             raise CommandError("no target documents: browse a document "
                                "or name targets with 'in'")
         return [browsed]
-    if targets == "all" or targets == ["all"]:
+    if targets == "all":
         return sorted(corpus.documents, key=lambda d: d.doc_id)
     docs = []
     for target in targets:
-        doc = None
-        if isinstance(target, int) or str(target).isdigit():
-            doc = corpus.document(int(target))
+        doc = corpus.document(int(target)) if target.isdigit() else None
         if doc is None:
-            doc = corpus.document_by_filename(str(target))
+            doc = corpus.document_by_filename(target)
         if doc is None:
             raise CommandError(f"no document matching {target!r} in corpus "
                                f"{corpus.name!r}")

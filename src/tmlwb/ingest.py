@@ -13,7 +13,6 @@ from .model import (
     Corpus, Document, Event, EventInstance, IntervalRef, Link, Signal,
     Timex3, Token, INSTANCE, TIMEX, TLINK_RELATIONS,
 )
-from .point_algebra import tlink_to_assertions
 
 SPAN_TAGS = ("EVENT", "TIMEX3", "SIGNAL")
 
@@ -23,20 +22,6 @@ class FoldScheme:
     """A relation-rewriting table; swap means arg1/arg2 are exchanged."""
     name: str
     mapping: dict[str, tuple[str, bool]]
-    lossless: bool
-
-
-def _fold_lossless(mapping: dict[str, tuple[str, bool]]) -> bool:
-    """A fold is lossless iff every row preserves the point-assertion set."""
-    a = IntervalRef(INSTANCE, "a")
-    b = IntervalRef(INSTANCE, "b")
-    for original, (target, swap) in mapping.items():
-        before = tlink_to_assertions(Link("l", "TLINK", original, a, b))
-        args = (b, a) if swap else (a, b)
-        after = tlink_to_assertions(Link("l", "TLINK", target, *args))
-        if before != after:
-            return False
-    return True
 
 
 # Inverse-collapsing fold: every mapped row swaps the link arguments.
@@ -49,7 +34,7 @@ CAVAT_FOLD = FoldScheme("cavat", {
     "DURING_INV": ("SIMULTANEOUS", True),
     "DURING": ("SIMULTANEOUS", True),
     "SIMULTANEOUS": ("SIMULTANEOUS", True),
-}, lossless=True)
+})
 
 # Lossy three-class fold down to {BEFORE, INCLUDES, SIMULTANEOUS}.
 COMPACT_FOLD = FoldScheme("compact", {
@@ -64,9 +49,9 @@ COMPACT_FOLD = FoldScheme("compact", {
     "DURING": ("SIMULTANEOUS", False),
     "DURING_INV": ("SIMULTANEOUS", False),
     "IDENTITY": ("SIMULTANEOUS", False),
-}, lossless=False)
+})
 
-NO_FOLD = FoldScheme("none", {}, lossless=True)
+NO_FOLD = FoldScheme("none", {})
 
 
 def load_fold_file(path: Path | str, name: str) -> FoldScheme:
@@ -87,7 +72,7 @@ def load_fold_file(path: Path | str, name: str) -> FoldScheme:
         if swap not in ("swap", "noswap"):
             raise LoadError(f"{path}:{lineno}: third column must be swap or noswap")
         mapping[original] = (target, swap == "swap")
-    return FoldScheme(name, mapping, _fold_lossless(mapping))
+    return FoldScheme(name, mapping)
 
 
 def get_fold_scheme(name: str) -> FoldScheme:

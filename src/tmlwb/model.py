@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 
-from .errors import QueryError
-
 # the closed set of TLINK relation types
 TLINK_RELATIONS = frozenset({
     "BEFORE", "AFTER", "IBEFORE", "IAFTER",
@@ -24,11 +22,10 @@ TLINK_RELATIONS = frozenset({
 INSTANCE = "instance"
 TIMEX = "timex"
 
-# attributes that live on MAKEINSTANCE vs. on EVENT (the event/instance
-# abstraction translates between the two on demand)
+# attributes that live on MAKEINSTANCE; an instance takes every other field
+# from its EVENT (see field_value)
 INSTANCE_SOURCED = ("tense", "aspect", "polarity", "modality", "cardinality",
                     "pos", "signalid")
-EVENT_SOURCED = ("class", "text", "lemma", "position")
 
 
 @dataclass(frozen=True)
@@ -208,19 +205,6 @@ def field_value(doc: Document, obj: Span | EventInstance, name: str) -> str | No
     if name in ("eid", "tid", "sid"):
         return getattr(obj, name, None)
     return obj.attr(name) if isinstance(obj, Attributed) else None
-
-
-def resolve_event_attribute(doc: Document, attribute: str) -> dict[str, str | None]:
-    """Map every event instance to its effective attribute value (see
-    field_value)."""
-    attribute = attribute.lower()
-    valid = INSTANCE_SOURCED + EVENT_SOURCED + ("eiid", "eventid")
-    if attribute not in valid:
-        raise QueryError(
-            f"unknown event attribute {attribute!r}; valid attributes: "
-            + ", ".join(sorted(valid)))
-    return {eiid: field_value(doc, inst, attribute)
-            for eiid, inst in doc.instances.items()}
 
 
 def interval_span(doc: Document, ref: IntervalRef) -> Event | Timex3 | None:

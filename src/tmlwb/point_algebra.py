@@ -5,8 +5,8 @@ assertions over those points, using only `<` (before) and `=` (simultaneous).
 Following the point algebra of Vilain & Kautz (AAAI 1986), the assertions are
 consistent iff, once union-find has merged the `=` classes, the `<` edges
 between classes form no cycle. An inconsistency is reported with the TLINKs
-whose assertions make up the cycle. The paper's agenda/database closure is
-kept as `oracle_consistency`, the independent reference for tests.
+whose assertions make up the cycle. The paper's agenda/database closure
+lives in tests/reference.py, as the independent reference for tests.
 
 Assertions are plain tuples ``(rel, left, right)`` where rel is "<" or "=",
 and points are ``(interval_id, 1)`` for the start and ``(interval_id, 2)``
@@ -192,84 +192,3 @@ def _witness(doc: Document, assertions: list[Assertion],
             producer.setdefault(a, link.lid)
     wanted = {producer[a] for a in used if a in producer}
     return tuple(link.lid for link in doc.tlinks if link.lid in wanted)
-
-
-def oracle_consistency(doc: Document, discipline: str = "fifo") -> bool:
-    """The paper's agenda/database closure, kept as the independent
-    reference that tests compare check_consistency against.
-
-    The closure compares each agenda item with the whole database, so it is
-    roughly cubic in the number of points. discipline selects where derived
-    assertions join the agenda: "fifo" appends (breadth-first), "lifo"
-    prepends (depth-first). The verdict is the same either way.
-    """
-    if discipline not in ("fifo", "lifo"):
-        raise ValueError(f"unknown agenda discipline: {discipline}")
-
-    def tautology(a: Assertion) -> bool:
-        return a[0] == "=" and a[1] == a[2]
-
-    def conflicts(a: Assertion, seen: set[Assertion]) -> bool:
-        rel, left, right = a
-        if rel == "<":
-            return (left == right or ("<", right, left) in seen
-                    or _eq(left, right) in seen)
-        return ("<", left, right) in seen or ("<", right, left) in seen
-
-    def combine(a: Assertion, b: Assertion):
-        """Apply the inference rules to one pair of assertions."""
-        ra, la, ca = a[0], a[1], a[2]
-        rb, lb, cb = b[0], b[1], b[2]
-        if ra == "<" and rb == "<":
-            if ca == lb:
-                yield _lt(la, cb)
-            if cb == la:
-                yield _lt(lb, ca)
-        elif ra == "=" and rb == "=":
-            shared = {la, ca} & {lb, cb}
-            if shared:
-                rest = ({la, ca} | {lb, cb}) - shared
-                if len(rest) == 2:
-                    x, y = rest
-                    yield _eq(x, y)
-        else:
-            # substitution of equals into an ordering
-            if ra == "=":
-                eq_pts, (lt_l, lt_r) = (la, ca), (lb, cb)
-            else:
-                eq_pts, (lt_l, lt_r) = (lb, cb), (la, ca)
-            p, q = eq_pts
-            if lt_l == p:
-                yield _lt(q, lt_r)
-            elif lt_l == q:
-                yield _lt(p, lt_r)
-            if lt_r == p:
-                yield _lt(lt_l, q)
-            elif lt_r == q:
-                yield _lt(lt_l, p)
-
-    database, initial = document_assertions(doc)
-    agenda = deque(a for a in initial if not tautology(a))
-    seen = set(database) | set(agenda)
-    while agenda:
-        item = agenda.popleft()
-        # item cannot be its own conflict partner, so checking against the
-        # full seen set is safe
-        if conflicts(item, seen):
-            return False
-        derived = []
-        for existing in database:
-            for new in combine(item, existing):
-                if tautology(new) or new in seen:
-                    continue
-                if conflicts(new, seen):
-                    return False
-                derived.append(new)
-                seen.add(new)
-        database.add(item)
-        for new in derived:
-            if discipline == "fifo":
-                agenda.append(new)
-            else:
-                agenda.appendleft(new)
-    return True

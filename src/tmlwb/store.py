@@ -30,9 +30,9 @@ that breaks either rule. Records are written in sorted-id order and with
 sorted attribute names, so a loaded corpus iterates every dict in sorted
 key order. A file without "version" was written before versions existed;
 _legacy_to_v2 converts it to the version-2 dict, which the one loader then
-builds. Any other version is a StoreError. corpus_fingerprint hashes the
-canonical dict of _corpus_to_json, not the disk encoding, so fingerprints
-do not depend on the format version.
+builds. Any other version is a StoreError. corpus_fingerprint is the
+sha256 of the payload save_corpus writes, so a corpus has one encoding and
+its fingerprint is the hash of its stored corpus.json.
 
 A load builds about half a million objects. The cyclic garbage collector
 would rescan the partly built corpus many times over, at a cost that grows
@@ -44,6 +44,7 @@ frees a replaced corpus, frozen or not.
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import os
 import shutil
@@ -169,8 +170,7 @@ class Store:
             raw = self._read_catalog_raw()
             if corpus.name in raw["entries"]:
                 raise StoreError(f"corpus {corpus.name!r} already exists")
-            payload = json.dumps(_corpus_to_disk(corpus), sort_keys=True,
-                                 separators=(",", ":"))
+            payload = _corpus_payload(corpus)
             with _writing(target):
                 target.parent.mkdir(exist_ok=True)
                 for leftover in target.parent.glob(".import-*"):
@@ -217,8 +217,10 @@ class Store:
             del raw["entries"][name]
             if raw["active"] == name:
                 raw["active"] = None
-            shutil.rmtree(self._corpus_dir(name), ignore_errors=True)
+            # the catalog first: a failed write leaves the corpus whole, and
+            # a directory the catalog no longer names is replaced on import
             self._write_catalog_raw(raw)
+            shutil.rmtree(self._corpus_dir(name), ignore_errors=True)
 
     def active_corpus_name(self) -> str | None:
         return self._read_catalog_raw()["active"]
@@ -284,50 +286,15 @@ def _read_json(path: Path):
         raise StoreError(f"cannot read {path}: {exc}") from None
 
 
-def _corpus_to_json(corpus: Corpus) -> dict:
-    return {
-        "name": corpus.name,
-        "note": corpus.note,
-        "documents": [_doc_to_json(d) for d in corpus.documents],
-    }
-
-
-def _doc_to_json(doc: Document) -> dict:
-    index = {id(tok): i for i, tok in enumerate(doc.tokens)}
-
-    def toks(tokens):
-        return [index[id(t)] for t in tokens]
-
-    return {
-        "doc_id": doc.doc_id,
-        "filename": doc.filename,
-        "tokens": [[t.sentence_index, t.word_index, t.surface, t.lemma]
-                   for t in doc.tokens],
-        "events": {e.eid: {"attrs": e.attrs, "tokens": toks(e.tokens)}
-                   for e in doc.events.values()},
-        "instances": {i.eiid: {"event_id": i.event_id, "attrs": i.attrs}
-                      for i in doc.instances.values()},
-        "timexes": {t.tid: {"attrs": t.attrs, "tokens": toks(t.tokens)}
-                    for t in doc.timexes.values()},
-        "signals": {s.sid: {"tokens": toks(s.tokens)} for s in doc.signals.values()},
-        "links": {l.lid: {
-            "kind": l.kind, "rel_type": l.rel_type,
-            "arg1": [l.arg1.kind, l.arg1.ref_id],
-            "arg2": [l.arg2.kind, l.arg2.ref_id],
-            "signal_id": l.signal_id, "origin": l.origin,
-        } for l in doc.links.values()},
-        "warnings": doc.warnings,
-    }
-
-
-def _corpus_to_disk(corpus: Corpus) -> dict:
-    """The version-2 dict of a corpus (see the module docstring)."""
-    return {
+def _corpus_payload(corpus: Corpus) -> str:
+    """The corpus.json text of a corpus: its version-2 dict (see the module
+    docstring) as compact JSON with sorted keys."""
+    return json.dumps({
         "version": STORE_VERSION,
         "name": corpus.name,
         "note": corpus.note,
         "documents": [_doc_to_disk(d) for d in corpus.documents],
-    }
+    }, sort_keys=True, separators=(",", ":"))
 
 
 def _doc_to_disk(doc: Document) -> dict:
@@ -472,7 +439,7 @@ def _legacy_to_v2(payload: dict) -> dict:
 
 
 def corpus_fingerprint(corpus: Corpus) -> str:
-    """Stable content hash, used to assert that checks never mutate a corpus."""
-    import hashlib
-    blob = json.dumps(_corpus_to_json(corpus), sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    """Stable content hash: the sha256 of the corpus.json that save_corpus
+    writes (a StoreError for a corpus it refuses). Used to assert that
+    checks never mutate a corpus."""
+    return hashlib.sha256(_corpus_payload(corpus).encode("utf-8")).hexdigest()

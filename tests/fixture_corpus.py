@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .model import TLINK_RELATIONS
+from tmlwb.model import TLINK_RELATIONS
 
 
 def _all_relations_doc() -> str:

@@ -1,19 +1,31 @@
-"""The per-occurrence report algorithm, kept as an independent reference
-for the one-pass reports of tmlwb.query.
+"""Independent references for the fast paths of tmlwb, which tests
+compare them against.
 
-It builds one occurrence object per tag occurrence with a dict of the
-fields the query needs, reads XML attributes by scanning every key of the
-tag's raw attribute dict, then filters and groups in separate passes.
-Only the result classes are shared with tmlwb.query, so that
-format_report renders both alike.
+- run_query: the per-occurrence report algorithm, a reference for the
+  one-pass reports of tmlwb.query. It builds one occurrence object per tag
+  occurrence with a dict of the fields the query needs, reads XML
+  attributes by scanning every key of the tag's raw attribute dict, then
+  filters and groups in separate passes. Only the result classes are
+  shared with tmlwb.query, so that format_report renders both alike.
+- oracle_consistency: the paper's agenda/database closure, a reference for
+  tmlwb.point_algebra.check_consistency.
+- fragment_normal_form and tag_normal_form: the comparison of a serialized
+  TimeML fragment with the tag it was made from.
+- fold_lossless: whether a fold table preserves point semantics.
 """
 from __future__ import annotations
 
-from collections import Counter
+import xml.etree.ElementTree as ET
+from collections import Counter, deque
 from dataclasses import dataclass
 
+from tmlwb.browse import _link_attrs, _lookup
 from tmlwb.model import (
-    INSTANCE, INSTANCE_SOURCED, Document, EventInstance, position_string,
+    INSTANCE, INSTANCE_SOURCED, Document, Event, EventInstance, IntervalRef,
+    Link, Signal, Timex3, position_string,
+)
+from tmlwb.point_algebra import (
+    Assertion, _eq, _lt, document_assertions, tlink_to_assertions,
 )
 from tmlwb.query import (
     DistributionResult, Filter, ListResult, Query, ReportRow, StateGroup,
@@ -159,3 +171,118 @@ def run_query(corpus, q: Query):
             ordered = kept + ([("Other", folded)] if folded else [])
         rows.extend(ReportRow(v, n, n / group_total, group) for v, n in ordered)
     return DistributionResult(rows, total, grouped=grouped)
+
+
+def oracle_consistency(doc: Document, discipline: str = "fifo") -> bool:
+    """The paper's agenda/database closure, kept as the independent
+    reference that tests compare check_consistency against.
+
+    The closure compares each agenda item with the whole database, so it is
+    roughly cubic in the number of points. discipline selects where derived
+    assertions join the agenda: "fifo" appends (breadth-first), "lifo"
+    prepends (depth-first). The verdict is the same either way.
+    """
+    if discipline not in ("fifo", "lifo"):
+        raise ValueError(f"unknown agenda discipline: {discipline}")
+
+    def tautology(a: Assertion) -> bool:
+        return a[0] == "=" and a[1] == a[2]
+
+    def conflicts(a: Assertion, seen: set[Assertion]) -> bool:
+        rel, left, right = a
+        if rel == "<":
+            return (left == right or ("<", right, left) in seen
+                    or _eq(left, right) in seen)
+        return ("<", left, right) in seen or ("<", right, left) in seen
+
+    def combine(a: Assertion, b: Assertion):
+        """Apply the inference rules to one pair of assertions."""
+        ra, la, ca = a[0], a[1], a[2]
+        rb, lb, cb = b[0], b[1], b[2]
+        if ra == "<" and rb == "<":
+            if ca == lb:
+                yield _lt(la, cb)
+            if cb == la:
+                yield _lt(lb, ca)
+        elif ra == "=" and rb == "=":
+            shared = {la, ca} & {lb, cb}
+            if shared:
+                rest = ({la, ca} | {lb, cb}) - shared
+                if len(rest) == 2:
+                    x, y = rest
+                    yield _eq(x, y)
+        else:
+            # substitution of equals into an ordering
+            if ra == "=":
+                eq_pts, (lt_l, lt_r) = (la, ca), (lb, cb)
+            else:
+                eq_pts, (lt_l, lt_r) = (lb, cb), (la, ca)
+            p, q = eq_pts
+            if lt_l == p:
+                yield _lt(q, lt_r)
+            elif lt_l == q:
+                yield _lt(p, lt_r)
+            if lt_r == p:
+                yield _lt(lt_l, q)
+            elif lt_r == q:
+                yield _lt(lt_l, p)
+
+    database, initial = document_assertions(doc)
+    agenda = deque(a for a in initial if not tautology(a))
+    seen = set(database) | set(agenda)
+    while agenda:
+        item = agenda.popleft()
+        # item cannot be its own conflict partner, so checking against the
+        # full seen set is safe
+        if conflicts(item, seen):
+            return False
+        derived = []
+        for existing in database:
+            for new in combine(item, existing):
+                if tautology(new) or new in seen:
+                    continue
+                if conflicts(new, seen):
+                    return False
+                derived.append(new)
+                seen.add(new)
+        database.add(item)
+        for new in derived:
+            if discipline == "fifo":
+                agenda.append(new)
+            else:
+                agenda.appendleft(new)
+    return True
+
+
+def fragment_normal_form(xml_text: str) -> tuple[str, dict[str, str], str]:
+    """(tag name, attributes, whitespace-normalized text) of a fragment."""
+    elem = ET.fromstring(xml_text)
+    text = " ".join("".join(elem.itertext()).split())
+    return elem.tag, dict(elem.attrib), text
+
+
+def tag_normal_form(doc: Document, tag: str, tag_id: str) -> tuple[str, dict[str, str], str]:
+    """Normal form of a stored tag, for round-trip comparison."""
+    obj = _lookup(doc, tag, tag_id)
+    if isinstance(obj, Event):
+        return "EVENT", dict(obj.attrs), obj.text
+    if isinstance(obj, Timex3):
+        return "TIMEX3", dict(obj.attrs), obj.text
+    if isinstance(obj, Signal):
+        return "SIGNAL", {"sid": obj.sid}, obj.text
+    if isinstance(obj, EventInstance):
+        return "MAKEINSTANCE", dict(obj.attrs), ""
+    return obj.kind, {"lid": obj.lid, **_link_attrs(obj)}, ""
+
+
+def fold_lossless(mapping: dict[str, tuple[str, bool]]) -> bool:
+    """A fold is lossless iff every row preserves the point-assertion set."""
+    a = IntervalRef(INSTANCE, "a")
+    b = IntervalRef(INSTANCE, "b")
+    for original, (target, swap) in mapping.items():
+        before = tlink_to_assertions(Link("l", "TLINK", original, a, b))
+        args = (b, a) if swap else (a, b)
+        after = tlink_to_assertions(Link("l", "TLINK", target, *args))
+        if before != after:
+            return False
+    return True

@@ -13,16 +13,15 @@ from tmlwb.graph_checks import (
     check_orphans, check_tlink_loop, format_subgraph_report, subgraph_stats,
 )
 from tmlwb.ingest import CAVAT_FOLD, COMPACT_FOLD, apply_fold, import_corpus
-from tmlwb.point_algebra import (
-    check_consistency, oracle_consistency, tlink_to_assertions,
-)
+from tmlwb.point_algebra import check_consistency, tlink_to_assertions
 from tmlwb.query import Filter, Query, TAG_FIELDS, format_percent, format_report
 from tmlwb.query import report_distribution, report_list, report_state, run_query
 from tmlwb.store import Store, corpus_fingerprint
 
-from tmlwb.browse import fragment_normal_form, serialize_tag, tag_normal_form
+from tmlwb.browse import serialize_tag
 
 from conftest import golden_check, make_doc, random_doc
+from reference import fragment_normal_form, oracle_consistency, tag_normal_form
 from test_graph_checks import reference_shaped_doc
 from test_point_algebra import POINT_TABLE, link
 

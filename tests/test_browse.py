@@ -1,10 +1,11 @@
 import pytest
 
 from tmlwb.browse import (
-    browse_tag, fragment_normal_form, select_document, serialize_tag,
-    show_link_context, tag_normal_form,
+    browse_tag, select_document, serialize_tag, show_link_context,
 )
 from tmlwb.errors import CommandError
+
+from reference import fragment_normal_form, tag_normal_form
 
 
 class TestSelectDocument:

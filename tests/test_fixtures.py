@@ -1,4 +1,4 @@
-from tmlwb.fixtures import FILES, generate_fixtures
+from fixture_corpus import FILES, generate_fixtures
 
 from conftest import FIXTURE_DIR
 

@@ -14,6 +14,7 @@ from tmlwb.model import INSTANCE, TIMEX
 from tmlwb.point_algebra import tlink_to_assertions
 
 from conftest import FIXTURE_DIR
+from reference import fold_lossless
 
 
 class TestParseDocument:
@@ -238,7 +239,7 @@ class TestApplyFold:
             assert once == twice
 
     def test_cavat_lossless_per_link(self, corpus):
-        assert CAVAT_FOLD.lossless
+        assert fold_lossless(CAVAT_FOLD.mapping)
         for doc in corpus.documents:
             folded = apply_fold(doc, CAVAT_FOLD)
             for lid, link in doc.links.items():
@@ -247,7 +248,7 @@ class TestApplyFold:
                 assert tlink_to_assertions(link) == tlink_to_assertions(folded.links[lid])
 
     def test_compact_lossy(self):
-        assert not COMPACT_FOLD.lossless
+        assert not fold_lossless(COMPACT_FOLD.mapping)
 
 
 class TestImportCorpus:
@@ -286,7 +287,7 @@ class TestFoldFiles:
         scheme = load_fold_file(path, "custom")
         assert scheme.mapping == {"AFTER": ("BEFORE", True),
                                   "IS_INCLUDED": ("INCLUDES", True)}
-        assert scheme.lossless
+        assert fold_lossless(scheme.mapping)
 
     def test_bad_relation_rejected(self, tmp_path):
         path = tmp_path / "bad.fold"

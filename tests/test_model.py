@@ -1,11 +1,7 @@
 import pytest
 
-from tmlwb.errors import QueryError
 from tmlwb.ingest import parse_document
-from tmlwb.model import (
-    IntervalRef, Link, INSTANCE, field_value, link_signal_text,
-    resolve_event_attribute,
-)
+from tmlwb.model import IntervalRef, Link, INSTANCE, field_value, link_signal_text
 from tmlwb.point_algebra import tlink_to_assertions
 
 TABLE1_ROWS = [
@@ -27,52 +23,56 @@ def get_doc(corpus, name):
 
 
 class TestResolveEventAttribute:
+    """An instance's event-sourced fields, through field_value."""
+
     def test_shared_event_pos(self, corpus):
         doc = get_doc(corpus, "loop_eventid.tml")
-        mapping = resolve_event_attribute(doc, "pos")
-        assert mapping == {"ei1": "VERB", "ei2": "VERB"}
+        assert {eiid: field_value(doc, inst, "pos")
+                for eiid, inst in doc.instances.items()} == {
+            "ei1": "VERB", "ei2": "VERB"}
 
     def test_event_sourced_text_shared(self, corpus):
         doc = get_doc(corpus, "loop_eventid.tml")
-        mapping = resolve_event_attribute(doc, "text")
-        assert mapping["ei1"] == mapping["ei2"] == "flown"
+        ei1, ei2 = doc.instances["ei1"], doc.instances["ei2"]
+        assert field_value(doc, ei1, "text") == field_value(doc, ei2, "text") == "flown"
 
     def test_no_instances_empty_mapping(self, corpus):
+        """A document without MAKEINSTANCE tags has no instance-sourced
+        values: its TIMEX3s answer pos with None."""
         doc = get_doc(corpus, "all_relations.tml")
-        assert resolve_event_attribute(doc, "pos") == {}
+        assert doc.instances == {}
+        assert {field_value(doc, t, "pos") for t in doc.timexes.values()} == {None}
 
     def test_dangling_event_yields_absent(self, corpus):
         doc = get_doc(corpus, "orphans.tml")
-        mapping = resolve_event_attribute(doc, "text")
-        assert mapping["ei9"] is None
-
-    def test_unknown_attribute_names_valid_ones(self, corpus):
-        doc = get_doc(corpus, "consistent.tml")
-        with pytest.raises(QueryError) as exc:
-            resolve_event_attribute(doc, "flavour")
-        assert "tense" in str(exc.value)
+        assert field_value(doc, doc.instances["ei9"], "text") is None
 
     def test_empty_values_are_absent(self, tmp_path):
-        """An empty eventID or class is None, like every empty field, and
-        class is matched without regard to case."""
-        from tmlwb.ingest import parse_document
+        """An empty eventID or class is None, like every empty field."""
         path = tmp_path / "empty.tml"
         path.write_text(
-            '<TimeML><EVENT eid="e1" class="">ran</EVENT> '
-            '<EVENT eid="e2" CLASS="STATE">slept</EVENT>\n'
+            '<TimeML><EVENT eid="e1" class="">ran</EVENT>\n'
             '<MAKEINSTANCE eiid="ei1" eventID="e1"/>'
-            '<MAKEINSTANCE eiid="ei2" eventID="e2"/>'
-            '<MAKEINSTANCE eiid="ei3" eventID=""/>\n</TimeML>')
+            '<MAKEINSTANCE eiid="ei2" eventID=""/>\n</TimeML>')
         doc = parse_document(path)
-        assert resolve_event_attribute(doc, "eventid") == {
-            "ei1": "e1", "ei2": "e2", "ei3": None}
-        assert resolve_event_attribute(doc, "class") == {
-            "ei1": None, "ei2": "STATE", "ei3": None}
+        ei1, ei2 = doc.instances["ei1"], doc.instances["ei2"]
+        assert [field_value(doc, i, "eventid") for i in (ei1, ei2)] == ["e1", None]
+        assert [field_value(doc, i, "class") for i in (ei1, ei2)] == [None, None]
+
+    def test_class_matched_regardless_of_case(self, tmp_path):
+        path = tmp_path / "case.tml"
+        path.write_text(
+            '<TimeML><EVENT eid="e1" CLASS="STATE">slept</EVENT>\n'
+            '<MAKEINSTANCE eiid="ei1" eventID="e1"/>\n</TimeML>')
+        doc = parse_document(path)
+        assert field_value(doc, doc.instances["ei1"], "class") == "STATE"
 
     def test_total_over_instances(self, corpus):
         for doc in corpus.documents:
-            for attribute in ("pos", "tense", "text", "class"):
-                assert len(resolve_event_attribute(doc, attribute)) == len(doc.instances)
+            for inst in doc.instances.values():
+                for attribute in ("pos", "tense", "text", "class"):
+                    value = field_value(doc, inst, attribute)
+                    assert value is None or isinstance(value, str) and value
 
 
 class TestAttributeCase:

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import random
@@ -16,7 +17,7 @@ from tmlwb.model import (
     Corpus, Document, Event, EventInstance, IntervalRef, Link, Signal,
     Timex3, Token,
 )
-from tmlwb.store import Store, _corpus_to_json, corpus_fingerprint
+from tmlwb.store import Store, corpus_fingerprint
 
 from conftest import FIXTURE_DIR
 from test_ingest import random_timeml
@@ -40,6 +41,13 @@ class TestRoundTrip:
         assert doc.events["e1"].text == "arrived"
         assert doc.links["l2"].signal_id == "s1"
         assert doc.tokens == corpus.document_by_filename("consistent.tml").tokens
+
+    @pytest.mark.parametrize("fold", [NO_FOLD, CAVAT_FOLD], ids=lambda f: f.name)
+    def test_fingerprint_hashes_stored_file(self, store, workspace, fold):
+        corpus = import_corpus(FIXTURE_DIR, "fx", fold)
+        store.save_corpus(corpus)
+        stored = (workspace / "corpora" / "fx" / "corpus.json").read_bytes()
+        assert corpus_fingerprint(corpus) == hashlib.sha256(stored).hexdigest()
 
     def test_save_twice_refused(self, store, corpus):
         store.save_corpus(corpus)
@@ -172,6 +180,25 @@ class TestCrashSafety:
         assert [p.name for p in (workspace / "corpora").iterdir()] == ["fixture"]
         assert [e.name for e in store.list_corpora().entries] == ["fixture"]
 
+    def test_delete_removes_directory(self, store, corpus, workspace):
+        store.save_corpus(corpus)
+        store.delete_corpus("fixture")
+        assert store.list_corpora().entries == []
+        assert list((workspace / "corpora").iterdir()) == []
+
+    def test_failed_catalog_write_keeps_deleted_corpus(self, store, corpus,
+                                                       workspace, monkeypatch):
+        store.save_corpus(corpus)
+
+        def fail(self, raw):
+            raise StoreError(f"cannot write {self.root}: No space left on device")
+        monkeypatch.setattr(Store, "_write_catalog_raw", fail)
+        with pytest.raises(StoreError, match="No space left"):
+            store.delete_corpus("fixture")
+        assert [e.name for e in store.list_corpora().entries] == ["fixture"]
+        assert corpus_fingerprint(store.load_corpus("fixture")) == corpus_fingerprint(corpus)
+        assert not (workspace / ".lock").exists()
+
     def test_corpus_named_like_a_leftover_kept(self, store, corpus, workspace):
         named = replace(corpus, name=".import-x")
         store.save_corpus(named)
@@ -218,7 +245,45 @@ def legacy_corpus_from_json(payload: dict) -> Corpus:
 
 def legacy_payload(corpus: Corpus) -> str:
     """A corpus.json as the unversioned store wrote it."""
-    return json.dumps(_corpus_to_json(corpus), sort_keys=True)
+    return json.dumps(legacy_corpus_to_json(corpus), sort_keys=True)
+
+
+def legacy_corpus_to_json(corpus: Corpus) -> dict:
+    """The writer of the unversioned store format, kept as the reference
+    for the old-format files that version 2 must still read."""
+    return {
+        "name": corpus.name,
+        "note": corpus.note,
+        "documents": [_legacy_doc_to_json(d) for d in corpus.documents],
+    }
+
+
+def _legacy_doc_to_json(doc: Document) -> dict:
+    index = {id(tok): i for i, tok in enumerate(doc.tokens)}
+
+    def toks(tokens):
+        return [index[id(t)] for t in tokens]
+
+    return {
+        "doc_id": doc.doc_id,
+        "filename": doc.filename,
+        "tokens": [[t.sentence_index, t.word_index, t.surface, t.lemma]
+                   for t in doc.tokens],
+        "events": {e.eid: {"attrs": e.attrs, "tokens": toks(e.tokens)}
+                   for e in doc.events.values()},
+        "instances": {i.eiid: {"event_id": i.event_id, "attrs": i.attrs}
+                      for i in doc.instances.values()},
+        "timexes": {t.tid: {"attrs": t.attrs, "tokens": toks(t.tokens)}
+                    for t in doc.timexes.values()},
+        "signals": {s.sid: {"tokens": toks(s.tokens)} for s in doc.signals.values()},
+        "links": {l.lid: {
+            "kind": l.kind, "rel_type": l.rel_type,
+            "arg1": [l.arg1.kind, l.arg1.ref_id],
+            "arg2": [l.arg2.kind, l.arg2.ref_id],
+            "signal_id": l.signal_id, "origin": l.origin,
+        } for l in doc.links.values()},
+        "warnings": doc.warnings,
+    }
 
 
 def loaded_shape(corpus: Corpus) -> list:
