@@ -17,7 +17,7 @@ BROWSE_TAGS = ("event", "instance", "timex3", "signal", "tlink", "slink", "alink
 
 def select_document(corpus: Corpus, key: str | int) -> Document:
     """Resolve a document by id or filename; suggests near matches on miss."""
-    if isinstance(key, int) or str(key).isdigit():
+    if isinstance(key, int) or str(key).isdecimal():
         doc = corpus.document(int(key))
         if doc is not None:
             return doc
@@ -65,14 +65,14 @@ def serialize_tag(doc: Document, tag: str, tag_id: str) -> str:
     if isinstance(obj, Event):
         rest = {k: v for k, v in obj.attrs.items() if k != "eid"}
         return (f"<EVENT {_attr_string(('eid', obj.eid), rest)}>"
-                f"{escape(obj.text)}</EVENT>")
+                f"{escape(doc.text(obj))}</EVENT>")
     if isinstance(obj, Timex3):
         rest = {k: v for k, v in obj.attrs.items() if k != "tid"}
         return (f"<TIMEX3 {_attr_string(('tid', obj.tid), rest)}>"
-                f"{escape(obj.text)}</TIMEX3>")
+                f"{escape(doc.text(obj))}</TIMEX3>")
     if isinstance(obj, Signal):
         return (f"<SIGNAL {_attr_string(('sid', obj.sid), {})}>"
-                f"{escape(obj.text)}</SIGNAL>")
+                f"{escape(doc.text(obj))}</SIGNAL>")
     if isinstance(obj, EventInstance):
         rest = {k: v for k, v in obj.attrs.items() if k != "eiid"}
         return f"<MAKEINSTANCE {_attr_string(('eiid', obj.eiid), rest)}/>"
@@ -101,12 +101,12 @@ def _attr_rows(doc: Document, tag: str, obj) -> list[tuple[str, str]]:
         rows = [(id_attr, getattr(obj, id_attr))]
         rows += sorted(((k, v) for k, v in obj.attrs.items() if k != id_attr),
                        key=lambda kv: kv[0].lower())
-        rows.append(("text", obj.text))
-        rows.append(("position", position_string(obj.position) or "-"))
+        rows.append(("text", doc.text(obj)))
+        rows.append(("position", position_string(doc.position(obj)) or "-"))
         return rows
     if isinstance(obj, Signal):
-        return [("sid", obj.sid), ("text", obj.text),
-                ("position", position_string(obj.position) or "-")]
+        return [("sid", obj.sid), ("text", doc.text(obj)),
+                ("position", position_string(doc.position(obj)) or "-")]
     if isinstance(obj, EventInstance):
         rows = [("eiid", obj.eiid)]
         rows += sorted(((k, v) for k, v in obj.attrs.items() if k != "eiid"),
@@ -148,13 +148,13 @@ def _associated(doc: Document, obj) -> list[str]:
     elif isinstance(obj, EventInstance):
         event = doc.events.get(obj.event_id)
         if event is not None:
-            lines.append(f'Event {event.eid}: "{event.text}"')
+            lines.append(f'Event {event.eid}: "{doc.text(event)}"')
         else:
             lines.append(f"Event {obj.event_id}: (missing)")
     elif isinstance(obj, Link):
         for name, ref in (("arg1", obj.arg1), ("arg2", obj.arg2)):
             span = interval_span(doc, ref)
-            text = span.text if span else None
+            text = doc.text(span) if span else None
             shown = f'"{text}"' if text else "(unresolved)"
             lines.append(f"  {name}: {ref.ref_id} {shown}")
         signal_text = link_signal_text(doc, obj)
@@ -171,25 +171,21 @@ def show_link_context(doc: Document, lid: str) -> str:
     if link is None:
         raise CommandError(f"no link with id {lid!r} in {doc.filename}")
     notes: list[str] = []
-    marked: dict[int, set[tuple[int, int]]] = {}
+    marked: set[int] = set()  # token indices
     for name, ref in (("arg1", link.arg1), ("arg2", link.arg2)):
         span = interval_span(doc, ref)
         if span is None:
             notes.append(f"note: {name} {ref.ref_id} does not resolve")
-        elif not span.tokens:
+        elif span.first == span.end:
             notes.append(f"note: {name} {ref.ref_id} has no text position")
         else:
-            for tok in span.tokens:
-                marked.setdefault(tok.sentence_index, set()).add(tok.position)
+            marked.update(range(span.first, span.end))
     lines: list[str] = []
-    for sentence_index in sorted(marked):
-        words = []
-        for tok in doc.sentence_tokens(sentence_index):
-            if tok.position in marked[sentence_index]:
-                words.append(f"[{tok.surface}]")
-            else:
-                words.append(tok.surface)
-        lines.append(" ".join(words))
+    bounds = doc.sentence_bounds
+    for sentence in sorted({doc.sentence_of(i) for i in marked}):
+        lines.append(" ".join(
+            f"[{doc.surfaces[i]}]" if i in marked else doc.surfaces[i]
+            for i in range(bounds[sentence], bounds[sentence + 1])))
     relation = f"{link.kind} {link.lid}: {link.arg1.ref_id} {link.rel_type} {link.arg2.ref_id}"
     signal_text = link_signal_text(doc, link)
     if signal_text:

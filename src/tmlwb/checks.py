@@ -93,7 +93,7 @@ def resolve_targets(corpus: Corpus, targets: list[str] | str | None,
         return sorted(corpus.documents, key=lambda d: d.doc_id)
     docs = []
     for target in targets:
-        doc = corpus.document(int(target)) if target.isdigit() else None
+        doc = corpus.document(int(target)) if target.isdecimal() else None
         if doc is None:
             doc = corpus.document_by_filename(target)
         if doc is None:

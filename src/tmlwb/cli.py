@@ -166,7 +166,7 @@ def _parse_show(t: _Tokens) -> Command:
             granularity = t.expect("document", "sentence")
         elif key == "min-freq":
             raw = t.next("minimum frequency")
-            if not raw.isdigit():
+            if not raw.isdecimal():
                 raise CommandError(f"min-freq expects a number, got {raw!r}")
             min_freq = int(raw)
         else:

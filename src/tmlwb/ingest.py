@@ -11,7 +11,7 @@ from . import tokenizer
 from .errors import LoadError
 from .model import (
     Corpus, Document, Event, EventInstance, IntervalRef, Link, Signal,
-    Timex3, Token, INSTANCE, TIMEX, TLINK_RELATIONS,
+    Timex3, INSTANCE, TIMEX, TLINK_RELATIONS,
 )
 
 SPAN_TAGS = ("EVENT", "TIMEX3", "SIGNAL")
@@ -126,17 +126,17 @@ def parse_document(path: Path | str, doc_id: int = 0) -> Document:
     # that expat cannot decode or that Python does not know
     except (ET.ParseError, ValueError, LookupError) as exc:
         raise LoadError(f"{path.name}: malformed XML ({exc})") from exc
-    doc = Document(doc_id=doc_id, filename=path.name)
     root = tree.getroot()
-
     text, spans = _collect_text(root)
-    tokens, starts, ends = _tokenize(text)
-    doc.tokens = tokens
+    doc = Document(doc_id, path.name)
+    starts, ends = _tokenize(doc, text)
 
     # tokens come in document order and do not overlap, so the tokens
-    # overlapping [start, end) (ts < end and te > start) are one slice
-    span_tokens = {id(elem): tokens[bisect_right(ends, start):bisect_left(starts, end)]
-                   for elem, start, end in spans}
+    # overlapping [start, end) (ts < end and te > start) are one range
+    bounds = {}
+    for elem, start, end in spans:
+        first, stop = bisect_right(ends, start), bisect_left(starts, end)
+        bounds[id(elem)] = (first, stop) if first < stop else (0, 0)
 
     for elem in root.iter():
         tag = elem.tag.upper()
@@ -145,17 +145,17 @@ def parse_document(path: Path | str, doc_id: int = 0) -> Document:
             eid = attrs.get("eid")
             if not _check_id(doc, eid, doc.events, "EVENT", "eid"):
                 continue
-            doc.events[eid] = Event(eid, attrs, span_tokens.get(id(elem), []))
+            doc.events[eid] = Event(eid, attrs, *bounds[id(elem)])
         elif tag == "TIMEX3":
             tid = attrs.get("tid")
             if not _check_id(doc, tid, doc.timexes, "TIMEX3", "tid"):
                 continue
-            doc.timexes[tid] = Timex3(tid, attrs, span_tokens.get(id(elem), []))
+            doc.timexes[tid] = Timex3(tid, attrs, *bounds[id(elem)])
         elif tag == "SIGNAL":
             sid = attrs.get("sid")
             if not _check_id(doc, sid, doc.signals, "SIGNAL", "sid"):
                 continue
-            doc.signals[sid] = Signal(sid, span_tokens.get(id(elem), []))
+            doc.signals[sid] = Signal(sid, *bounds[id(elem)])
         elif tag == "MAKEINSTANCE":
             eiid = attrs.get("eiid")
             if not _check_id(doc, eiid, doc.instances, "MAKEINSTANCE", "eiid"):
@@ -203,18 +203,19 @@ def _collect_text(root: ET.Element) -> tuple[str, list[tuple[ET.Element, int, in
     return "".join(chars), spans
 
 
-def _tokenize(text: str) -> tuple[list[Token], list[int], list[int]]:
-    """Tokens in document order, with their start and end offsets."""
-    tokens: list[Token] = []
+def _tokenize(doc: Document, text: str) -> tuple[list[int], list[int]]:
+    """Fill the token columns of doc from its text; returns the start and
+    end offset of each token."""
     starts: list[int] = []
     ends: list[int] = []
-    for s_index, (s_start, s_end) in enumerate(tokenizer.sentence_spans(text)):
-        for w_index, (w_start, w_end) in enumerate(tokenizer.word_spans(text, s_start, s_end)):
-            surface = text[w_start:w_end]
-            tokens.append(Token(s_index, w_index, surface, tokenizer.lemmatize(surface)))
+    for s_start, s_end in tokenizer.sentence_spans(text):
+        for w_start, w_end in tokenizer.word_spans(text, s_start, s_end):
             starts.append(w_start)
             ends.append(w_end)
-    return tokens, starts, ends
+        doc.sentence_bounds.append(len(starts))
+    doc.surfaces = [text[s:e] for s, e in zip(starts, ends)]
+    doc.lemmas = [tokenizer.lemmatize(surface) for surface in doc.surfaces]
+    return starts, ends
 
 
 def _check_id(doc: Document, tag_id, existing: dict, family: str, attr: str) -> bool:

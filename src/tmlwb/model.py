@@ -1,12 +1,18 @@
 """In-memory data model for TimeML corpora.
 
-A Document holds the tags of one TimeML file. Tag objects keep the raw XML
-attribute dictionary so that re-serialization loses nothing; typed accessors
-cover the attributes the rest of the workbench needs. Everything is treated
-as immutable after load.
+A Document holds the tags of one TimeML file. Its tokens are columns, as
+the store writes them: every surface, every lemma, and the sentence bounds
+(the token index at which each sentence starts, then the token count). An
+EVENT, TIMEX3 or SIGNAL names its tokens as one range [first, end) of those
+columns, (0, 0) when it has none, and the document answers a span's text,
+lemma and position. Tag objects keep the
+raw XML attribute dictionary so that re-serialization loses nothing; typed
+accessors cover the attributes the rest of the workbench needs. Everything
+is treated as immutable after load.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -35,35 +41,6 @@ class IntervalRef:
     ref_id: str
 
 
-@dataclass(frozen=True)
-class Token:
-    sentence_index: int
-    word_index: int
-    surface: str
-    lemma: str
-
-    @property
-    def position(self) -> tuple[int, int]:
-        return (self.sentence_index, self.word_index)
-
-
-class Span:
-    """Text, lemma and position of a tag's token span. It has no dataclass
-    fields, so the field order of the tags that share it is their own."""
-
-    @property
-    def text(self) -> str:
-        return " ".join(t.surface for t in self.tokens)
-
-    @property
-    def lemma(self) -> str:
-        return " ".join(t.lemma for t in self.tokens)
-
-    @property
-    def position(self) -> tuple[int, int] | None:
-        return self.tokens[0].position if self.tokens else None
-
-
 @cache
 def _key_map(names: tuple[str, ...]) -> dict[str, str]:
     """Lowercase name -> the first of names with that lowercase form; one map
@@ -84,10 +61,11 @@ class Attributed:
 
 
 @dataclass
-class Event(Span, Attributed):
+class Event(Attributed):
     eid: str
     attrs: dict[str, str]
-    tokens: list[Token]
+    first: int
+    end: int
 
 
 @dataclass
@@ -98,16 +76,18 @@ class EventInstance(Attributed):
 
 
 @dataclass
-class Timex3(Span, Attributed):
+class Timex3(Attributed):
     tid: str
     attrs: dict[str, str]
-    tokens: list[Token]
+    first: int
+    end: int
 
 
 @dataclass
-class Signal(Span):
+class Signal:
     sid: str
-    tokens: list[Token]
+    first: int
+    end: int
 
 
 @dataclass
@@ -138,7 +118,10 @@ def link_arg_attr_names(kind: str, arg1: IntervalRef, arg2: IntervalRef) -> tupl
 class Document:
     doc_id: int
     filename: str
-    tokens: list[Token] = field(default_factory=list)
+    # sentence k is tokens [sentence_bounds[k], sentence_bounds[k + 1])
+    sentence_bounds: list[int] = field(default_factory=lambda: [0])
+    surfaces: list[str] = field(default_factory=list)
+    lemmas: list[str] = field(default_factory=list)
     events: dict[str, Event] = field(default_factory=dict)
     instances: dict[str, EventInstance] = field(default_factory=dict)
     timexes: dict[str, Timex3] = field(default_factory=dict)
@@ -150,8 +133,22 @@ class Document:
     def tlinks(self) -> list[Link]:
         return [l for l in self.links.values() if l.kind == "TLINK"]
 
-    def sentence_tokens(self, sentence_index: int) -> list[Token]:
-        return [t for t in self.tokens if t.sentence_index == sentence_index]
+    def text(self, span: Event | Timex3 | Signal) -> str:
+        return " ".join(self.surfaces[span.first:span.end])
+
+    def lemma(self, span: Event | Timex3 | Signal) -> str:
+        return " ".join(self.lemmas[span.first:span.end])
+
+    def sentence_of(self, index: int) -> int:
+        """The sentence of the token at index."""
+        return bisect_right(self.sentence_bounds, index) - 1
+
+    def position(self, span: Event | Timex3 | Signal) -> tuple[int, int] | None:
+        """(sentence, word) of a span's first token; None if it has none."""
+        if span.first == span.end:
+            return None
+        sentence = self.sentence_of(span.first)
+        return sentence, span.first - self.sentence_bounds[sentence]
 
 
 @dataclass
@@ -178,7 +175,8 @@ def position_string(pos: tuple[int, int] | None) -> str | None:
     return None if pos is None else f"{pos[0]}:{pos[1]}"
 
 
-def field_value(doc: Document, obj: Span | EventInstance, name: str) -> str | None:
+def field_value(doc: Document, obj: Event | EventInstance | Timex3 | Signal,
+                name: str) -> str | None:
     """The value of one field of an EVENT, MAKEINSTANCE, TIMEX3 or SIGNAL;
     None when it is absent or empty.
 
@@ -198,10 +196,12 @@ def field_value(doc: Document, obj: Span | EventInstance, name: str) -> str | No
         obj = doc.events.get(obj.event_id)
         if obj is None:
             return None
-    if name in ("text", "lemma"):
-        return getattr(obj, name) or None
+    if name == "text":
+        return doc.text(obj) or None
+    if name == "lemma":
+        return doc.lemma(obj) or None
     if name == "position":
-        return position_string(obj.position)
+        return position_string(doc.position(obj))
     if name in ("eid", "tid", "sid"):
         return getattr(obj, name, None)
     return obj.attr(name) if isinstance(obj, Attributed) else None
@@ -223,4 +223,4 @@ def link_signal_text(doc: Document, link: Link) -> str | None:
     signal = doc.signals.get(link.signal_id)
     if signal is None:
         return None
-    return signal.text or None
+    return doc.text(signal) or None

@@ -185,7 +185,8 @@ def _sentence(doc: Document, obj) -> str:
         obj = interval_span(doc, obj.arg1)
     elif isinstance(obj, EventInstance):
         obj = doc.events.get(obj.event_id)
-    return str(obj.tokens[0].sentence_index) if obj and obj.tokens else "-"
+    position = doc.position(obj) if obj else None
+    return "-" if position is None else str(position[0])
 
 
 # -- reports --------------------------------------------------------------
@@ -367,10 +368,14 @@ def _csv(header: list[str], rows: list[list[str]]) -> str:
     return buf.getvalue().rstrip("\n")
 
 
+_TEX_ESCAPES = str.maketrans({
+    **{char: "\\" + char for char in "&%$#_{}"},
+    "\\": r"\textbackslash{}", "~": r"\textasciitilde{}", "^": r"\textasciicircum{}",
+})
+
+
 def _tex_escape(text: str) -> str:
-    for char in "&%$#_{}":
-        text = text.replace(char, "\\" + char)
-    return text
+    return text.translate(_TEX_ESCAPES)
 
 
 def _tex(header: list[str], rows: list[list[str]], caption: str,

@@ -22,24 +22,23 @@ corpus.json is store format version 2, one JSON object:
         "links": [[lid, kind, rel_type, arg1_kind, arg1_id,
                    arg2_kind, arg2_id, signal_id, origin]]}]}
 
-Tokens are columns: a token's sentence and word index follow from the
-sentence lengths, so both must count up from 0 in reading order. A tag's
-tokens are the slice [first, end) of the document's tokens; ingest's
-bisection always yields one contiguous run. save_corpus refuses a document
-that breaks either rule. Records are written in sorted-id order and with
-sorted attribute names, so a loaded corpus iterates every dict in sorted
-key order. A file without "version" was written before versions existed;
+These are the columns of the in-memory Document (see tmlwb.model), which
+keeps the running sums of the sentence lengths instead of the lengths. A
+save writes the columns and span bounds as they are, and a load builds no
+object per token. Records are written in sorted-id order and with sorted
+attribute names, so a loaded corpus iterates every dict in sorted key
+order. A file without "version" was written before versions existed;
 _legacy_to_v2 converts it to the version-2 dict, which the one loader then
 builds. Any other version is a StoreError. corpus_fingerprint is the
 sha256 of the payload save_corpus writes, so a corpus has one encoding and
 its fingerprint is the hash of its stored corpus.json.
 
-A load builds about half a million objects. The cyclic garbage collector
-would rescan the partly built corpus many times over, at a cost that grows
-with the live heap, so load_corpus builds with the collector paused and
-then freezes the result (gc.freeze), which keeps it out of every later
-collection. The model has no reference cycles, so reference counting alone
-frees a replaced corpus, frozen or not.
+A load builds an object for every tag, link and attribute. The cyclic
+garbage collector would rescan the partly built corpus many times over, at
+a cost that grows with the live heap, so load_corpus builds with the
+collector paused and then freezes the result (gc.freeze), which keeps it
+out of every later collection. The model has no reference cycles, so
+reference counting alone frees a replaced corpus, frozen or not.
 """
 from __future__ import annotations
 
@@ -53,12 +52,12 @@ import time
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 from .errors import StoreError
 from .model import (
-    Corpus, Document, Event, EventInstance, IntervalRef, Link, Signal,
-    Timex3, Token,
+    Corpus, Document, Event, EventInstance, IntervalRef, Link, Signal, Timex3,
 )
 
 ENV_HOME = "TMLWB_HOME"
@@ -298,39 +297,22 @@ def _corpus_payload(corpus: Corpus) -> str:
 
 
 def _doc_to_disk(doc: Document) -> dict:
-    """The version-2 dict of a document; StoreError if it breaks the
-    layout's rules (see the module docstring)."""
-    index = {id(tok): i for i, tok in enumerate(doc.tokens)}
-
-    def refuse(what: str):
-        return StoreError(f"cannot save {doc.filename}: {what}")
-
-    def span(family: str, tag_id: str, tokens: list[Token]) -> list[int]:
-        try:
-            return _span([index[id(t)] for t in tokens])
-        except (KeyError, ValueError):
-            raise refuse(f"the tokens of {family} {tag_id} are not one "
-                         "contiguous run of the document's tokens") from None
-
-    try:
-        sentences = _sentence_lengths(
-            [(t.sentence_index, t.word_index) for t in doc.tokens])
-    except ValueError as exc:
-        raise refuse(str(exc)) from None
+    """The version-2 dict of a document."""
+    bounds = doc.sentence_bounds
     return {
         "doc_id": doc.doc_id,
         "filename": doc.filename,
         "warnings": doc.warnings,
-        "sentences": sentences,
-        "surfaces": [t.surface for t in doc.tokens],
-        "lemmas": [t.lemma for t in doc.tokens],
-        "events": [[eid, e.attrs, *span("EVENT", eid, e.tokens)]
+        "sentences": [end - start for start, end in zip(bounds, bounds[1:])],
+        "surfaces": doc.surfaces,
+        "lemmas": doc.lemmas,
+        "events": [[eid, e.attrs, e.first, e.end]
                    for eid, e in sorted(doc.events.items())],
         "instances": [[eiid, i.event_id, i.attrs]
                       for eiid, i in sorted(doc.instances.items())],
-        "timexes": [[tid, t.attrs, *span("TIMEX3", tid, t.tokens)]
+        "timexes": [[tid, t.attrs, t.first, t.end]
                     for tid, t in sorted(doc.timexes.items())],
-        "signals": [[sid, *span("SIGNAL", sid, s.tokens)]
+        "signals": [[sid, s.first, s.end]
                     for sid, s in sorted(doc.signals.items())],
         "links": [[lid, l.kind, l.rel_type, l.arg1.kind, l.arg1.ref_id,
                    l.arg2.kind, l.arg2.ref_id, l.signal_id, l.origin]
@@ -340,7 +322,8 @@ def _doc_to_disk(doc: Document) -> dict:
 
 def _sentence_lengths(positions: list[tuple[int, int]]) -> list[int]:
     """The token count of each sentence, from the (sentence, word) index
-    of every token in reading order; both must count up from 0."""
+    of every token of an unversioned file in reading order; both must count
+    up from 0."""
     lengths = list(Counter(s for s, _ in positions).values())
     if positions != [(s, w) for s, n in enumerate(lengths) for w in range(n)]:
         raise ValueError("token positions do not count sentences and words "
@@ -349,7 +332,8 @@ def _sentence_lengths(positions: list[tuple[int, int]]) -> list[int]:
 
 
 def _span(indices: list[int]) -> list[int]:
-    """[first, end) of a run of consecutive token indices ([0, 0] if none)."""
+    """[first, end) of a run of consecutive token indices of an unversioned
+    file ([0, 0] if none)."""
     first = indices[0] if indices else 0
     end = first + len(indices)
     if indices != list(range(first, end)):
@@ -378,29 +362,31 @@ def _corpus_from_file(path: Path) -> Corpus:
 def _doc_from_disk(payload: dict) -> Document:
     sentences = payload["sentences"]
     surfaces, lemmas = payload["surfaces"], payload["lemmas"]
-    count = sum(sentences)
+    if not all(type(n) is int and n >= 0 for n in sentences):
+        raise ValueError("sentence lengths are not all counts")
+    bounds = list(accumulate(sentences, initial=0))
+    count = bounds[-1]
     if not len(surfaces) == len(lemmas) == count:
         raise ValueError(f"{count} tokens but {len(surfaces)} surfaces "
                          f"and {len(lemmas)} lemmas")
-    tokens = list(map(Token,
-                      [s for s, n in enumerate(sentences) for _ in range(n)],
-                      [w for n in sentences for w in range(n)],
-                      surfaces, lemmas))
     events, timexes, signals = payload["events"], payload["timexes"], payload["signals"]
     for record in (*events, *timexes, *signals):
-        if not 0 <= record[-2] <= record[-1] <= count:
+        first, end = record[-2:]
+        if not (type(first) is int and type(end) is int and 0 <= first <= end <= count):
             raise ValueError(f"span {record[-2:]} of {record[0]} is out of range")
     return Document(
         doc_id=payload["doc_id"],
         filename=payload["filename"],
-        tokens=tokens,
-        events={eid: Event(eid, attrs, tokens[first:end])
+        sentence_bounds=bounds,
+        surfaces=surfaces,
+        lemmas=lemmas,
+        events={eid: Event(eid, attrs, first, end)
                 for eid, attrs, first, end in events},
         instances={eiid: EventInstance(eiid, event_id, attrs)
                    for eiid, event_id, attrs in payload["instances"]},
-        timexes={tid: Timex3(tid, attrs, tokens[first:end])
+        timexes={tid: Timex3(tid, attrs, first, end)
                  for tid, attrs, first, end in timexes},
-        signals={sid: Signal(sid, tokens[first:end]) for sid, first, end in signals},
+        signals={sid: Signal(sid, first, end) for sid, first, end in signals},
         links={lid: Link(lid, kind, rel_type, IntervalRef(kind1, id1),
                          IntervalRef(kind2, id2), signal_id, origin)
                for lid, kind, rel_type, kind1, id1, kind2, id2, signal_id, origin
@@ -440,6 +426,5 @@ def _legacy_to_v2(payload: dict) -> dict:
 
 def corpus_fingerprint(corpus: Corpus) -> str:
     """Stable content hash: the sha256 of the corpus.json that save_corpus
-    writes (a StoreError for a corpus it refuses). Used to assert that
-    checks never mutate a corpus."""
+    writes. Used to assert that checks never mutate a corpus."""
     return hashlib.sha256(_corpus_payload(corpus).encode("utf-8")).hexdigest()

@@ -40,6 +40,19 @@ def _attr(attrs: dict[str, str], name: str) -> str | None:
     return None
 
 
+def _words(column: list[str], span) -> str:
+    return " ".join(column[i] for i in range(span.first, span.end))
+
+
+def _token_position(doc: Document, index: int) -> tuple[int, int]:
+    """(sentence, word) of a token, by a scan over the sentence bounds."""
+    bounds = doc.sentence_bounds
+    for sentence, (start, end) in enumerate(zip(bounds, bounds[1:])):
+        if start <= index < end:
+            return sentence, index - start
+    raise IndexError(index)
+
+
 def _field_of(doc: Document, obj, name: str) -> str | None:
     if isinstance(obj, EventInstance):
         if name == "eiid":
@@ -52,11 +65,10 @@ def _field_of(doc: Document, obj, name: str) -> str | None:
         if obj is None:
             return None
     if name in ("text", "lemma"):
-        return " ".join(getattr(t, "surface" if name == "text" else "lemma")
-                        for t in obj.tokens) or None
+        return _words(doc.surfaces if name == "text" else doc.lemmas, obj) or None
     if name == "position":
-        return position_string((obj.tokens[0].sentence_index,
-                                obj.tokens[0].word_index) if obj.tokens else None)
+        return position_string(_token_position(doc, obj.first)
+                               if obj.end > obj.first else None)
     if name in ("eid", "tid", "sid"):
         return getattr(obj, name, None)
     return _attr(getattr(obj, "attrs", {}), name)
@@ -65,7 +77,7 @@ def _field_of(doc: Document, obj, name: str) -> str | None:
 def _link_of(doc: Document, link, name: str) -> str | None:
     if name == "signaltext":
         signal = doc.signals.get(link.signal_id) if link.signal_id else None
-        return (" ".join(t.surface for t in signal.tokens) or None) if signal else None
+        return (_words(doc.surfaces, signal) or None) if signal else None
     return {
         "lid": link.lid, "reltype": link.rel_type or None,
         "arg1": link.arg1.ref_id, "arg2": link.arg2.ref_id,
@@ -80,8 +92,10 @@ class _Occurrence:
     sentence: int | None
 
 
-def _sentence(span) -> int | None:
-    return span.tokens[0].sentence_index if span and span.tokens else None
+def _sentence(doc: Document, span) -> int | None:
+    if span is None or span.end == span.first:
+        return None
+    return _token_position(doc, span.first)[0]
 
 
 def _arg1_span(doc: Document, link):
@@ -101,17 +115,17 @@ def _occurrences(corpus, q: Query) -> list[_Occurrence]:
             for link in doc.links.values():
                 if link.kind == q.tag.upper():
                     out.append(_Occurrence(doc, {f: _link_of(doc, link, f) for f in fields},
-                                           _sentence(_arg1_span(doc, link))))
+                                           _sentence(doc, _arg1_span(doc, link))))
         elif q.tag == "instance" or (q.tag == "event" and fields & set(INSTANCE_SOURCED)):
             for inst in doc.instances.values():
                 out.append(_Occurrence(doc, {f: _field_of(doc, inst, f) for f in fields},
-                                       _sentence(doc.events.get(inst.event_id))))
+                                       _sentence(doc, doc.events.get(inst.event_id))))
         else:
             pool = {"event": doc.events, "timex3": doc.timexes,
                     "signal": doc.signals}[q.tag]
             for span in pool.values():
                 out.append(_Occurrence(doc, {f: _field_of(doc, span, f) for f in fields},
-                                       _sentence(span)))
+                                       _sentence(doc, span)))
     return out
 
 
@@ -265,11 +279,11 @@ def tag_normal_form(doc: Document, tag: str, tag_id: str) -> tuple[str, dict[str
     """Normal form of a stored tag, for round-trip comparison."""
     obj = _lookup(doc, tag, tag_id)
     if isinstance(obj, Event):
-        return "EVENT", dict(obj.attrs), obj.text
+        return "EVENT", dict(obj.attrs), _words(doc.surfaces, obj)
     if isinstance(obj, Timex3):
-        return "TIMEX3", dict(obj.attrs), obj.text
+        return "TIMEX3", dict(obj.attrs), _words(doc.surfaces, obj)
     if isinstance(obj, Signal):
-        return "SIGNAL", {"sid": obj.sid}, obj.text
+        return "SIGNAL", {"sid": obj.sid}, _words(doc.surfaces, obj)
     if isinstance(obj, EventInstance):
         return "MAKEINSTANCE", dict(obj.attrs), ""
     return obj.kind, {"lid": obj.lid, **_link_attrs(obj)}, ""

@@ -137,6 +137,7 @@ class TestParseGrammar:
         "context",
         "blargh",
         "show distribution of tlink reltype min-freq lots",
+        "show distribution of tlink reltype min-freq ²",
         'show list of tlink reltype where reltype is "unclosed',
     ])
     def test_parse_errors(self, bad):
@@ -361,6 +362,19 @@ class TestMainEntry:
         assert main(["-c", "corpus import latest/."]) == 0
         assert capsys.readouterr().out.startswith("Imported corpus 'latest': 8 documents")
         assert [e.name for e in Store().list_corpora().entries] == ["latest"]
+
+    @pytest.mark.parametrize("line,message", [
+        ("check consistent in ²", "no document matching '²'"),
+        ("browse doc ²", "no document '²'"),
+        ("show distribution of event class min-freq ²",
+         "min-freq expects a number, got '²'"),
+    ])
+    def test_digit_that_int_refuses(self, workspace, capsys, line, message):
+        """'²' is a digit to str.isdigit() but not a number to int()."""
+        assert main(["-c", f"corpus import {FIXTURE_DIR} as m; corpus use m; {line}"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("error:") == 1
+        assert out.splitlines()[-1].startswith(f"error: {message}")
 
     def test_missing_script(self, workspace, capsys):
         assert main(["-f", "/nonexistent/script"]) == 1

@@ -40,7 +40,8 @@ class TestParseDocument:
         path.write_text("<TimeML></TimeML>")
         doc = parse_document(path)
         assert not doc.events and not doc.timexes and not doc.links
-        assert doc.tokens == []
+        assert doc.surfaces == doc.lemmas == []
+        assert doc.sentence_bounds == [0]
 
     def test_two_instances_one_event(self, corpus):
         doc = corpus.document_by_filename("loop_eventid.tml")
@@ -77,10 +78,10 @@ class TestParseDocument:
 
     def test_token_spans_and_lemmas(self, corpus):
         doc = corpus.document_by_filename("consistent.tml")
-        assert doc.events["e1"].text == "arrived"
-        assert doc.events["e1"].lemma == "arriv"  # bare suffix strip, no e-restoration
-        assert doc.timexes["t1"].text == "Friday."
-        assert doc.signals["s1"].text == "before"
+        assert doc.text(doc.events["e1"]) == "arrived"
+        assert doc.lemma(doc.events["e1"]) == "arriv"  # bare suffix strip, no e-restoration
+        assert doc.text(doc.timexes["t1"]) == "Friday."
+        assert doc.text(doc.signals["s1"]) == "before"
 
     def test_dangling_reference_warns(self, corpus):
         doc = corpus.document_by_filename("orphans.tml")
@@ -92,8 +93,8 @@ class TestParseDocument:
         path.write_text('<TimeML>' + '<s>' * 1200 + 'hello <EVENT eid="e1">ran</EVENT>.'
                         + '</s>' * 1200 + '</TimeML>')
         doc = parse_document(path)
-        assert [t.surface for t in doc.tokens] == ["hello", "ran."]
-        assert doc.events["e1"].text == "ran."
+        assert doc.surfaces == ["hello", "ran."]
+        assert doc.text(doc.events["e1"]) == "ran."
 
 
 SPAN_IDS = {"EVENT": "eid", "TIMEX3": "tid", "SIGNAL": "sid"}
@@ -101,7 +102,9 @@ SPAN_IDS = {"EVENT": "eid", "TIMEX3": "tid", "SIGNAL": "sid"}
 
 def naive_span_tokens(path):
     """{(tag, id): token indices} by the quadratic reference: offsets summed
-    anew at every element, and every token scanned for every span."""
+    anew at every element, and every token scanned for every span. Also
+    returns the text, the (start, end) offsets and the (sentence, word)
+    position of every token, and the character range of every element."""
     root = ET.parse(path).getroot()
     chars, span_of = [], {}
 
@@ -117,8 +120,11 @@ def naive_span_tokens(path):
 
     collect(root)
     text = "".join(chars)
-    offsets = [w for s in tokenizer.sentence_spans(text)
-               for w in tokenizer.word_spans(text, *s)]
+    offsets, positions = [], []
+    for s_index, sentence in enumerate(tokenizer.sentence_spans(text)):
+        for w_index, word in enumerate(tokenizer.word_spans(text, *sentence)):
+            offsets.append(word)
+            positions.append((s_index, w_index))
     result = {}
     for elem in root.iter():  # document order: the first of a duplicate id wins
         tag = elem.tag.upper()
@@ -127,17 +133,14 @@ def naive_span_tokens(path):
             start, end = span_of[elem]
             result[key] = [i for i, (ts, te) in enumerate(offsets)
                            if ts < end and te > start]
-    return text, offsets, span_of, result
+    return text, offsets, positions, span_of, result
 
 
 def fast_span_tokens(doc):
-    index = {id(tok): i for i, tok in enumerate(doc.tokens)}
-    result = {}
-    for tag, family in (("EVENT", doc.events), ("TIMEX3", doc.timexes),
-                        ("SIGNAL", doc.signals)):
-        for tag_id, item in family.items():
-            result[(tag, tag_id)] = [index[id(t)] for t in item.tokens]
-    return result
+    return {(tag, tag_id): list(range(item.first, item.end))
+            for tag, family in (("EVENT", doc.events), ("TIMEX3", doc.timexes),
+                                ("SIGNAL", doc.signals))
+            for tag_id, item in family.items()}
 
 
 _WORDS = ["the", "Talks", "ended", "on", "Friday.", "it", "rained", "3",
@@ -175,9 +178,19 @@ def random_timeml(rng: random.Random, max_depth=4) -> str:
 class TestSpanTokensMatchReference:
     def check(self, path):
         doc = parse_document(path)
-        text, offsets, span_of, expected = naive_span_tokens(path)
-        assert [t.surface for t in doc.tokens] == [text[s:e] for s, e in offsets]
+        text, offsets, positions, span_of, expected = naive_span_tokens(path)
+        surfaces = [text[s:e] for s, e in offsets]
+        assert doc.surfaces == surfaces
         assert fast_span_tokens(doc) == expected
+        families = {"EVENT": doc.events, "TIMEX3": doc.timexes, "SIGNAL": doc.signals}
+        for (tag, tag_id), indices in expected.items():
+            span = families[tag][tag_id]
+            assert doc.text(span) == " ".join(surfaces[i] for i in indices)
+            assert doc.lemma(span) == " ".join(tokenizer.lemmatize(surfaces[i])
+                                               for i in indices)
+            assert doc.position(span) == (positions[indices[0]] if indices else None)
+            assert ([doc.sentence_of(i) for i in indices]
+                    == [positions[i][0] for i in indices])
         return text, span_of
 
     @pytest.mark.parametrize("path", sorted(FIXTURE_DIR.glob("*.tml")),

@@ -7,7 +7,7 @@ import reference
 from tmlwb.errors import QueryError
 from tmlwb.model import (
     INSTANCE, TIMEX, Corpus, Document, Event, EventInstance, IntervalRef, Link,
-    Signal, Timex3, Token,
+    Signal, Timex3,
 )
 from tmlwb.query import (
     FORMATS, GRANULARITIES, REPORTS, Filter, Query, TAG_FIELDS, format_percent,
@@ -208,6 +208,18 @@ class TestFormatting:
         out = format_report(run_query(corpus, q), q)
         assert '"USER, MANUAL",1,100%' in out
 
+    def test_tex_escapes_special_characters(self):
+        corpus = Corpus("tiny", "fold=none")
+        from conftest import make_doc
+        from dataclasses import replace
+        doc = make_doc([("BEFORE", "a", "b")])
+        doc.links["l1"] = replace(doc.links["l1"], origin=r"C:\dir_1 ~a^b {x} & 50%#$")
+        corpus.documents.append(doc)
+        q = Query("distribution", "tlink", "origin", fmt="tex")
+        out = format_report(run_query(corpus, q), q)
+        assert (r"C:\textbackslash{}dir\_1 \textasciitilde{}a\textasciicircum{}b "
+                r"\{x\} \& 50\%\#\$ & 1 & 100\% \\") in out.splitlines()
+
     def test_empty_csv_header_only(self):
         q = Query("distribution", "tlink", "reltype", fmt="csv")
         out = format_report(run_query(Corpus("empty", "fold=none"), q), q)
@@ -256,19 +268,21 @@ def random_report_corpus(rng: random.Random, n_docs=3) -> Corpus:
     corpus = Corpus("random", "fold=none")
     for d in range(n_docs):
         doc = Document(doc_id=d + 1, filename=f"d{d}.tml")
-        doc.tokens = [Token(s, w, rng.choice(["Ran", "ran", "x", "then"]),
-                            rng.choice(["run", "x"]))
-                      for s in range(rng.randint(1, 12)) for w in range(rng.randint(1, 4))]
+        for _ in range(rng.randint(1, 12)):
+            for _ in range(rng.randint(1, 4)):
+                doc.surfaces.append(rng.choice(["Ran", "ran", "x", "then"]))
+                doc.lemmas.append(rng.choice(["run", "x"]))
+            doc.sentence_bounds.append(len(doc.surfaces))
 
         def span():
             if rng.random() < 0.2:
-                return []
-            start = rng.randrange(len(doc.tokens))
-            return doc.tokens[start:start + rng.randint(1, 3)]
+                return 0, 0
+            start = rng.randrange(len(doc.surfaces))
+            return start, min(start + rng.randint(1, 3), len(doc.surfaces))
 
         for i in range(rng.randint(0, 8)):
             doc.events[f"e{i}"] = Event(f"e{i}", attrs("eid", f"e{i}", [
-                "class", "tense", "pos"]), span())
+                "class", "tense", "pos"]), *span())
         for i in range(rng.randint(0, 10)):
             event_id = rng.choice(sorted(doc.events) + ["e99", ""])
             doc.instances[f"ei{i}"] = EventInstance(f"ei{i}", event_id, {
@@ -276,9 +290,9 @@ def random_report_corpus(rng: random.Random, n_docs=3) -> Corpus:
                     "tense", "aspect", "polarity", "pos", "signalid", "class"])})
         for i in range(rng.randint(0, 4)):
             doc.timexes[f"t{i}"] = Timex3(f"t{i}", attrs("tid", f"t{i}", [
-                "type", "value", "mod"]), span())
+                "type", "value", "mod"]), *span())
         for i in range(rng.randint(0, 3)):
-            doc.signals[f"s{i}"] = Signal(f"s{i}", span())
+            doc.signals[f"s{i}"] = Signal(f"s{i}", *span())
         intervals = ([IntervalRef(INSTANCE, i) for i in list(doc.instances) + ["ei99"]]
                      + [IntervalRef(TIMEX, t) for t in list(doc.timexes) + ["t99"]])
         for i in range(rng.randint(0, 10)):
@@ -333,5 +347,5 @@ def _oddities(corpus):
             if link.signal_id and link.signal_id not in doc.signals:
                 yield "TLINK signalID without SIGNAL"
         for span in [*doc.events.values(), *doc.timexes.values(), *doc.signals.values()]:
-            if not span.tokens:
+            if span.first == span.end:
                 yield "span without tokens"
