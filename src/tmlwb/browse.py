@@ -15,17 +15,17 @@ from .query import _csv
 BROWSE_TAGS = ("event", "instance", "timex3", "signal", "tlink", "slink", "alink")
 
 
-def select_document(corpus: Corpus, key: str | int) -> Document:
+def select_document(corpus: Corpus, key: str) -> Document:
     """Resolve a document by id or filename; suggests near matches on miss."""
-    if isinstance(key, int) or str(key).isdecimal():
+    if key.isdecimal():
         doc = corpus.document(int(key))
         if doc is not None:
             return doc
-    doc = corpus.document_by_filename(str(key))
+    doc = corpus.document_by_filename(key)
     if doc is not None:
         return doc
     names = [d.filename for d in corpus.documents]
-    close = difflib.get_close_matches(str(key), names, n=3, cutoff=0.4)
+    close = difflib.get_close_matches(key, names, n=3, cutoff=0.4)
     hint = f"; did you mean: {', '.join(close)}" if close else ""
     raise CommandError(f"no document {key!r} in corpus {corpus.name!r}{hint}")
 

@@ -1,14 +1,15 @@
-"""Registry and dispatcher for check modules.
+"""The checks, as one table from name to check, and their dispatcher.
 
-A check is a callable taking (document, corpus) and returning a list of
-CheckFinding. New checks register against this interface without touching
-the core.
+A check is a function from a document to a list of CheckFinding. Adding
+one is one statement, ``CHECKS["name"] = Check(version, description,
+func)``, and the CLI lists and runs it from then on.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
+from . import browse
 from .errors import CommandError
 from .graph_checks import (
     CheckFinding, check_orphans, check_split_graph, check_tlink_loop,
@@ -16,36 +17,15 @@ from .graph_checks import (
 from .model import Corpus, Document
 from .point_algebra import check_consistency
 
-CheckFunc = Callable[[Document, Corpus], list[CheckFinding]]
-
 
 @dataclass(frozen=True)
-class CheckDescriptor:
-    name: str
+class Check:
     version: str
     description: str
+    func: Callable[[Document], list[CheckFinding]]
 
 
-@dataclass
-class CheckRegistry:
-    _checks: dict[str, tuple[CheckDescriptor, CheckFunc]] = field(default_factory=dict)
-
-    def register(self, descriptor: CheckDescriptor, func: CheckFunc) -> None:
-        if descriptor.name in self._checks:
-            raise CommandError(f"check {descriptor.name!r} already registered")
-        self._checks[descriptor.name] = (descriptor, func)
-
-    def list_checks(self) -> list[CheckDescriptor]:
-        return [d for d, _ in (self._checks[n] for n in sorted(self._checks))]
-
-    def get(self, name: str) -> tuple[CheckDescriptor, CheckFunc]:
-        if name not in self._checks:
-            available = ", ".join(sorted(self._checks))
-            raise CommandError(f"unknown check {name!r}; available: {available}")
-        return self._checks[name]
-
-
-def _consistent_check(doc: Document, corpus: Corpus) -> list[CheckFinding]:
+def _consistent_check(doc: Document) -> list[CheckFinding]:
     result = check_consistency(doc)
     if result.consistent:
         return []
@@ -53,21 +33,15 @@ def _consistent_check(doc: Document, corpus: Corpus) -> list[CheckFinding]:
                          result.message)]
 
 
-def default_registry() -> CheckRegistry:
-    registry = CheckRegistry()
-    registry.register(
-        CheckDescriptor("consistent", "1", "Temporal graph consistency checker"),
-        _consistent_check)
-    registry.register(
-        CheckDescriptor("orphans", "1", "Orphaned tag detection"),
-        lambda doc, corpus: check_orphans(doc))
-    registry.register(
-        CheckDescriptor("split_graph", "1", "Split graph detection"),
-        lambda doc, corpus: check_split_graph(doc))
-    registry.register(
-        CheckDescriptor("tlink_loop", "1", "TLINK loop checker"),
-        lambda doc, corpus: check_tlink_loop(doc))
-    return registry
+# Each entry looks the checking function up in this module when it runs, so
+# a name patched here (as the benchmark's tracer does) reaches the table.
+CHECKS: dict[str, Check] = {
+    "consistent": Check("1", "Temporal graph consistency checker", _consistent_check),
+    "orphans": Check("1", "Orphaned tag detection", lambda doc: check_orphans(doc)),
+    "split_graph": Check("1", "Split graph detection",
+                         lambda doc: check_split_graph(doc)),
+    "tlink_loop": Check("1", "TLINK loop checker", lambda doc: check_tlink_loop(doc)),
+}
 
 
 @dataclass
@@ -91,32 +65,24 @@ def resolve_targets(corpus: Corpus, targets: list[str] | str | None,
         return [browsed]
     if targets == "all":
         return sorted(corpus.documents, key=lambda d: d.doc_id)
-    docs = []
-    for target in targets:
-        doc = corpus.document(int(target)) if target.isdecimal() else None
-        if doc is None:
-            doc = corpus.document_by_filename(target)
-        if doc is None:
-            raise CommandError(f"no document matching {target!r} in corpus "
-                               f"{corpus.name!r}")
-        docs.append(doc)
-    return docs
+    return [browse.select_document(corpus, target) for target in targets]
 
 
 def run_check(corpus: Corpus, name: str, targets=None,
-              registry: CheckRegistry | None = None,
               browsed: Document | None = None) -> CheckRun:
     """Run one check over the resolved targets, collecting output lines and
     findings in target order."""
-    registry = registry or default_registry()
-    descriptor, func = registry.get(name)
+    if name not in CHECKS:
+        raise CommandError(f"unknown check {name!r}; "
+                           f"available: {', '.join(sorted(CHECKS))}")
+    check = CHECKS[name]
     docs = resolve_targets(corpus, targets, browsed)
-    lines = [f"# {descriptor.description} v{descriptor.version} loaded"]
+    lines = [f"# {check.description} v{check.version} loaded"]
     findings: list[CheckFinding] = []
     counts = {"ERROR": 0, "WARNING": 0, "INFO": 0}
     for doc in docs:
         lines.append(f"# Checking {doc.filename} (id {doc.doc_id})")
-        for finding in func(doc, corpus):
+        for finding in check.func(doc):
             findings.append(finding)
             counts[finding.severity] += 1
             lines.extend(finding.message.split("\n"))

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import browse as browse_mod
-from .checks import CheckRegistry, default_registry, run_check
+from .checks import CHECKS, run_check
 from .errors import CommandError, WorkbenchError
 from .ingest import get_fold_scheme, import_corpus
 from .model import Corpus, Document
@@ -232,7 +232,6 @@ def _parse_check(t: _Tokens) -> Command:
 @dataclass
 class Session:
     store: Store
-    registry: CheckRegistry = field(default_factory=default_registry)
     corpus: Corpus | None = None
     browsed: Document | None = None
     findings_format: str = "text"  # or "json-lines"
@@ -311,22 +310,13 @@ def _execute_corpus(session: Session, cmd: Command) -> str:
         name = Path(os.path.abspath(directory)).name
     check_corpus_name(name)
     fold = get_fold_scheme(cmd.args["fold"])
-    if fold.name == "sputlink" and not fold.mapping:
-        return _import_and_report(
-            session, directory, name, fold,
-            warn="warning: sputlink fold table is empty (placeholder file); "
-                 "no links were rewritten")
-    return _import_and_report(session, directory, name, fold)
-
-
-def _import_and_report(session: Session, directory: Path, name: str, fold,
-                       warn: str | None = None) -> str:
     corpus = import_corpus(directory, name, fold)
     session.store.save_corpus(corpus)
     lines = [f"Imported corpus {name!r}: {len(corpus.documents)} documents "
              f"({corpus.note})"]
-    if warn:
-        lines.insert(0, warn)
+    if fold.name == "sputlink" and not fold.mapping:
+        lines.insert(0, "warning: sputlink fold table is empty (placeholder "
+                        "file); no links were rewritten")
     for skipped in corpus.skipped:
         lines.append(f"skipped: {skipped}")
     return "\n".join(lines)
@@ -334,12 +324,11 @@ def _import_and_report(session: Session, directory: Path, name: str, fold,
 
 def _execute_check(session: Session, cmd: Command) -> str:
     if cmd.action == "list":
-        lines = [f"{d.name} v{d.version} - {d.description}"
-                 for d in session.registry.list_checks()]
-        return "\n".join(lines)
+        return "\n".join(f"{name} v{check.version} - {check.description}"
+                         for name, check in sorted(CHECKS.items()))
     corpus = session.active_corpus()
     run = run_check(corpus, cmd.args["name"], cmd.args["targets"],
-                    registry=session.registry, browsed=session.browsed)
+                    browsed=session.browsed)
     session.error_findings += run.error_count
     if session.findings_format == "json-lines":
         lines = [json.dumps({

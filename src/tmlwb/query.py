@@ -91,7 +91,6 @@ class ReportRow:
 class DistributionResult:
     rows: list[ReportRow]
     total: int
-    grouped: bool = False
 
 
 @dataclass
@@ -104,7 +103,6 @@ class StateGroup:
 @dataclass
 class StateResult:
     groups: list[StateGroup]
-    grouped: bool = False
 
     @property
     def filled(self) -> int:
@@ -118,7 +116,6 @@ class StateResult:
 @dataclass
 class ListResult:
     rows: list[tuple[str | None, str]]  # (group, value)
-    grouped: bool = False
 
 
 # -- one pass over a tag's occurrences ------------------------------------
@@ -207,15 +204,14 @@ def report_distribution(corpus: Corpus, q: Query) -> DistributionResult:
             ordered = kept + ([("Other", folded)] if folded else [])
         for value, freq in ordered:
             rows.append(ReportRow(value, freq, freq / group_total, group))
-    return DistributionResult(rows, total, grouped=q.granularity != "corpus")
+    return DistributionResult(rows, total)
 
 
 def report_state(corpus: Corpus, q: Query) -> StateResult:
     """Filled/unfilled occurrence counts for one field."""
     groups = [StateGroup(counts.total() - counts[None], counts[None], group)
               for group, counts in _value_counts(corpus, q)]
-    return StateResult(groups or [StateGroup(0, 0, None)],
-                       grouped=q.granularity != "corpus")
+    return StateResult(groups or [StateGroup(0, 0, None)])
 
 
 def report_list(corpus: Corpus, q: Query) -> ListResult:
@@ -223,7 +219,7 @@ def report_list(corpus: Corpus, q: Query) -> ListResult:
     rows: list[tuple[str | None, str]] = []
     for group, counts in _value_counts(corpus, q):
         rows.extend((group, v) for v in sorted(v for v in counts if v is not None))
-    return ListResult(rows, grouped=q.granularity != "corpus")
+    return ListResult(rows)
 
 
 def run_query(corpus: Corpus, q: Query):
@@ -278,12 +274,13 @@ def _title(q: Query) -> str:
 
 
 def _format_distribution(result: DistributionResult, q: Query) -> str:
-    header = (["Value", "Frequency", "Proportion"] if not result.grouped
+    grouped = q.granularity != "corpus"
+    header = (["Value", "Frequency", "Proportion"] if not grouped
               else [_group_header(q), "Value", "Frequency", "Proportion"])
     table = []
     for row in result.rows:
         cells = [row.value, str(row.frequency), format_percent(row.proportion) + "%"]
-        if result.grouped:
+        if grouped:
             cells.insert(0, row.group or "")
         table.append(cells)
     if q.fmt == "csv":
@@ -295,10 +292,11 @@ def _format_distribution(result: DistributionResult, q: Query) -> str:
 
 
 def _format_state(result: StateResult, q: Query) -> str:
+    grouped = q.granularity != "corpus"
     total = result.filled + result.unfilled
     if q.fmt in ("csv", "tex"):
         header = ["State", "Count", "Proportion"]
-        if result.grouped:
+        if grouped:
             header.insert(0, _group_header(q))
         table = []
         for g in result.groups:
@@ -307,7 +305,7 @@ def _format_state(result: StateResult, q: Query) -> str:
                                  (f"{q.field} unfilled", g.unfilled)):
                 pct = format_percent(count / g_total) + "%" if g_total else "-"
                 cells = [label, str(count), pct]
-                if result.grouped:
+                if grouped:
                     cells.insert(0, g.group or "")
                 table.append(cells)
         if q.fmt == "csv":
@@ -321,7 +319,7 @@ def _format_state(result: StateResult, q: Query) -> str:
     unfilled_label = f"{q.field} unfilled"
     width = len(unfilled_label)
     for g in result.groups:
-        prefix = f"[{g.group}] " if result.grouped and g.group else ""
+        prefix = f"[{g.group}] " if grouped and g.group else ""
         g_total = g.filled + g.unfilled
         for label, count in ((filled_label, g.filled), (unfilled_label, g.unfilled)):
             pct = format_percent(count / g_total) if g_total else "-"
@@ -330,14 +328,15 @@ def _format_state(result: StateResult, q: Query) -> str:
 
 
 def _format_list(result: ListResult, q: Query) -> str:
-    header = ["Value"] if not result.grouped else [_group_header(q), "Value"]
-    table = [([value] if not result.grouped else [group or "", value])
+    grouped = q.granularity != "corpus"
+    header = ["Value"] if not grouped else [_group_header(q), "Value"]
+    table = [([value] if not grouped else [group or "", value])
              for group, value in result.rows]
     if q.fmt == "csv":
         return _csv(header, table)
     if q.fmt == "tex":
         return _tex(header, table, _title(q))
-    if result.grouped:
+    if grouped:
         return _screen(header, table, numeric=set())
     return "\n".join(value for _, value in result.rows)
 

@@ -369,6 +369,7 @@ def _doc_from_disk(payload: dict) -> Document:
     if not len(surfaces) == len(lemmas) == count:
         raise ValueError(f"{count} tokens but {len(surfaces)} surfaces "
                          f"and {len(lemmas)} lemmas")
+    "".join(surfaces), "".join(lemmas)  # TypeError unless every entry is a str
     events, timexes, signals = payload["events"], payload["timexes"], payload["signals"]
     for record in (*events, *timexes, *signals):
         first, end = record[-2:]

@@ -158,20 +158,19 @@ def _grouped(corpus, q: Query):
 
 def run_query(corpus, q: Query):
     """The report result of tmlwb.query.run_query, computed per occurrence."""
-    grouped = q.granularity != "corpus"
     if q.report == "state":
         groups = []
         for group, occs in _grouped(corpus, q):
             filled = sum(1 for o in occs if o.values[q.field] not in (None, ""))
             groups.append(StateGroup(filled, len(occs) - filled, group))
-        return StateResult(groups or [StateGroup(0, 0, None)], grouped=grouped)
+        return StateResult(groups or [StateGroup(0, 0, None)])
     if q.report == "list":
         rows = []
         for group, occs in _grouped(corpus, q):
             values = sorted({o.values[q.field] for o in occs
                              if o.values[q.field] not in (None, "")})
             rows.extend((group, v) for v in values)
-        return ListResult(rows, grouped=grouped)
+        return ListResult(rows)
     rows, total = [], 0
     for group, occs in _grouped(corpus, q):
         counts = Counter(o.values[q.field] for o in occs
@@ -184,7 +183,7 @@ def run_query(corpus, q: Query):
             folded = sum(n for _, n in ordered if n < q.min_freq)
             ordered = kept + ([("Other", folded)] if folded else [])
         rows.extend(ReportRow(v, n, n / group_total, group) for v, n in ordered)
-    return DistributionResult(rows, total, grouped=grouped)
+    return DistributionResult(rows, total)
 
 
 def oracle_consistency(doc: Document, discipline: str = "fifo") -> bool:

@@ -10,7 +10,7 @@ from reference import fragment_normal_form, tag_normal_form
 
 class TestSelectDocument:
     def test_by_id(self, corpus):
-        assert select_document(corpus, 1).doc_id == 1
+        assert select_document(corpus, "1").doc_id == 1
         assert select_document(corpus, "3").doc_id == 3
 
     def test_by_filename(self, corpus):
@@ -18,7 +18,7 @@ class TestSelectDocument:
 
     def test_missing_id(self, corpus):
         with pytest.raises(CommandError, match="no document"):
-            select_document(corpus, 99)
+            select_document(corpus, "99")
 
     def test_suggests_close_match(self, corpus):
         with pytest.raises(CommandError, match="consistent.tml"):

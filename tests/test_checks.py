@@ -1,8 +1,6 @@
 import pytest
 
-from tmlwb.checks import (
-    CheckDescriptor, CheckRegistry, default_registry, resolve_targets, run_check,
-)
+from tmlwb.checks import CHECKS, Check, resolve_targets, run_check
 from tmlwb.errors import CommandError
 from tmlwb.graph_checks import CheckFinding
 from tmlwb.store import corpus_fingerprint
@@ -10,12 +8,11 @@ from tmlwb.store import corpus_fingerprint
 
 class TestRegistry:
     def test_builtins_sorted(self):
-        names = [d.name for d in default_registry().list_checks()]
-        assert names == ["consistent", "orphans", "split_graph", "tlink_loop"]
+        assert sorted(CHECKS) == ["consistent", "orphans", "split_graph", "tlink_loop"]
 
     def test_descriptors(self):
-        descriptions = {d.name: (d.version, d.description)
-                        for d in default_registry().list_checks()}
+        descriptions = {name: (check.version, check.description)
+                        for name, check in CHECKS.items()}
         assert descriptions == {
             "consistent": ("1", "Temporal graph consistency checker"),
             "orphans": ("1", "Orphaned tag detection"),
@@ -23,25 +20,10 @@ class TestRegistry:
             "tlink_loop": ("1", "TLINK loop checker"),
         }
 
-    def test_register_custom(self):
-        registry = default_registry()
-        registry.register(CheckDescriptor("noop", "1", "Does nothing"),
-                          lambda doc, corpus: [])
-        assert len(registry.list_checks()) == 5
-        assert registry.get("noop")[0].description == "Does nothing"
-
-    def test_duplicate_refused(self):
-        registry = default_registry()
-        with pytest.raises(CommandError, match="already registered"):
-            registry.register(CheckDescriptor("orphans", "2", "Again"),
-                              lambda doc, corpus: [])
-
-    def test_unknown_check(self):
-        with pytest.raises(CommandError, match="available"):
-            default_registry().get("spellcheck")
-
-    def test_empty_registry(self):
-        assert CheckRegistry().list_checks() == []
+    def test_unknown_check(self, corpus):
+        with pytest.raises(CommandError, match="unknown check 'spellcheck'; "
+                           "available: consistent, orphans, split_graph, tlink_loop"):
+            run_check(corpus, "spellcheck", "all")
 
 
 class TestResolveTargets:
@@ -62,7 +44,7 @@ class TestResolveTargets:
             resolve_targets(corpus, None)
 
     def test_unresolvable_fails_before_running(self, corpus):
-        with pytest.raises(CommandError, match="no document matching"):
+        with pytest.raises(CommandError, match="no document 'missing.tml'"):
             resolve_targets(corpus, ["1", "missing.tml"])
 
 
@@ -97,13 +79,13 @@ class TestRunCheck:
             stitched.extend(part.lines[1:-1])  # drop banner and summary
         assert combined.lines[1:-1] == stitched
 
-    def test_custom_check_runs(self, corpus):
-        registry = default_registry()
-        registry.register(
-            CheckDescriptor("doc_name", "1", "Names every document"),
-            lambda doc, _corpus: [CheckFinding("doc_name", doc.filename, "INFO",
-                                               [], f"saw {doc.filename}")])
-        run = run_check(corpus, "doc_name", "all", registry=registry)
+    def test_custom_check_runs(self, corpus, monkeypatch):
+        monkeypatch.setitem(CHECKS, "doc_name", Check(
+            "1", "Names every document",
+            lambda doc: [CheckFinding("doc_name", doc.filename, "INFO", [],
+                                      f"saw {doc.filename}")]))
+        run = run_check(corpus, "doc_name", "all")
+        assert run.lines[0] == "# Names every document v1 loaded"
         assert run.lines[-1] == "# Findings: 0 error, 0 warning, 8 info"
         assert "saw orphans.tml" in run.lines
 

@@ -364,7 +364,7 @@ class TestMainEntry:
         assert [e.name for e in Store().list_corpora().entries] == ["latest"]
 
     @pytest.mark.parametrize("line,message", [
-        ("check consistent in ²", "no document matching '²'"),
+        ("check consistent in ²", "no document '²'"),
         ("browse doc ²", "no document '²'"),
         ("show distribution of event class min-freq ²",
          "min-freq expects a number, got '²'"),

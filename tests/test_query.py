@@ -65,7 +65,6 @@ class TestDistribution:
 
     def test_by_document_granularity(self, corpus):
         result = dist(corpus, "tlink", "reltype", granularity="document")
-        assert result.grouped
         groups = {r.group for r in result.rows}
         assert "consistent.tml" in groups
         assert sum(r.frequency for r in result.rows) == 28

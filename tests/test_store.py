@@ -396,6 +396,22 @@ class TestFormatVersion2:
         assert out.startswith(f"error: cannot read {path}: not a tmlwb corpus")
         assert out.count("\n") == 1
 
+    @pytest.mark.parametrize("column", ["surfaces", "lemmas"])
+    def test_token_column_of_numbers_refused(self, store, corpus, workspace, capsys,
+                                             column):
+        """Columns of the right length but not of strings once loaded and
+        then failed in a report with a TypeError."""
+        store.save_corpus(corpus)
+        path = workspace / "corpora" / "fixture" / "corpus.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        doc = payload["documents"][0]
+        doc[column] = list(range(len(doc[column])))
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["-c", "corpus use fixture; show list of event text"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("error:") == 1
+        assert out.startswith(f"error: cannot read {path}: not a tmlwb corpus")
+
 
 class TestWriteFailures:
     def test_workspace_under_a_file(self, tmp_path, monkeypatch, capsys):
