@@ -10,15 +10,16 @@ from .model import (
     Corpus, Document, Event, EventInstance, Link, Signal, Timex3,
     interval_span, link_arg_attr_names, link_signal_text, position_string,
 )
-from .query import _csv
-
-BROWSE_TAGS = ("event", "instance", "timex3", "signal", "tlink", "slink", "alink")
+from .query import TAGS, _csv
 
 
 def select_document(corpus: Corpus, key: str) -> Document:
     """Resolve a document by id or filename; suggests near matches on miss."""
     if key.isdecimal():
-        doc = corpus.document(int(key))
+        try:
+            doc = corpus.document(int(key))
+        except ValueError:  # more digits than int() converts: no document has the id
+            doc = None
         if doc is not None:
             return doc
     doc = corpus.document_by_filename(key)
@@ -43,7 +44,7 @@ def _lookup(doc: Document, tag: str, tag_id: str):
             obj = None
     else:
         raise CommandError(f"unknown tag family {tag!r}; "
-                           f"expected one of: {', '.join(BROWSE_TAGS)}")
+                           f"expected one of: {', '.join(TAGS)}")
     if obj is None:
         raise CommandError(f"no {tag} with id {tag_id!r} in {doc.filename}")
     return obj
@@ -51,32 +52,33 @@ def _lookup(doc: Document, tag: str, tag_id: str):
 
 # -- TimeML serialization -------------------------------------------------
 
-def _attr_string(first: tuple[str, str], rest: dict[str, str]) -> str:
-    # canonical order: id attribute first, the rest alphabetical
-    parts = [f"{first[0]}={quoteattr(first[1])}"]
-    for key in sorted(rest, key=str.lower):
-        parts.append(f"{key}={quoteattr(rest[key])}")
-    return " ".join(parts)
+_ID_ATTRS = {Event: "eid", Timex3: "tid", Signal: "sid", EventInstance: "eiid",
+             Link: "lid"}
+_ELEMENTS = {Event: "EVENT", Timex3: "TIMEX3", Signal: "SIGNAL",
+             EventInstance: "MAKEINSTANCE"}
+
+
+def _ordered_attrs(obj) -> list[tuple[str, str]]:
+    """A tag's TimeML attributes in canonical order: the id attribute first,
+    the rest sorted case-insensitively."""
+    id_attr = _ID_ATTRS[type(obj)]
+    if isinstance(obj, Link):
+        rest = _link_attrs(obj)
+    else:
+        rest = getattr(obj, "attrs", {})  # a Signal has only its id
+    return [(id_attr, getattr(obj, id_attr)),
+            *sorted(((k, v) for k, v in rest.items() if k != id_attr),
+                    key=lambda kv: kv[0].lower())]
 
 
 def serialize_tag(doc: Document, tag: str, tag_id: str) -> str:
     """Render one tag as a well-formed TimeML fragment."""
     obj = _lookup(doc, tag, tag_id)
-    if isinstance(obj, Event):
-        rest = {k: v for k, v in obj.attrs.items() if k != "eid"}
-        return (f"<EVENT {_attr_string(('eid', obj.eid), rest)}>"
-                f"{escape(doc.text(obj))}</EVENT>")
-    if isinstance(obj, Timex3):
-        rest = {k: v for k, v in obj.attrs.items() if k != "tid"}
-        return (f"<TIMEX3 {_attr_string(('tid', obj.tid), rest)}>"
-                f"{escape(doc.text(obj))}</TIMEX3>")
-    if isinstance(obj, Signal):
-        return (f"<SIGNAL {_attr_string(('sid', obj.sid), {})}>"
-                f"{escape(doc.text(obj))}</SIGNAL>")
-    if isinstance(obj, EventInstance):
-        rest = {k: v for k, v in obj.attrs.items() if k != "eiid"}
-        return f"<MAKEINSTANCE {_attr_string(('eiid', obj.eiid), rest)}/>"
-    return _serialize_link(obj)
+    element = obj.kind if isinstance(obj, Link) else _ELEMENTS[type(obj)]
+    attrs = " ".join(f"{k}={quoteattr(v)}" for k, v in _ordered_attrs(obj))
+    if isinstance(obj, (EventInstance, Link)):
+        return f"<{element} {attrs}/>"
+    return f"<{element} {attrs}>{escape(doc.text(obj))}</{element}>"
 
 
 def _link_attrs(link: Link) -> dict[str, str]:
@@ -89,32 +91,13 @@ def _link_attrs(link: Link) -> dict[str, str]:
     return attrs
 
 
-def _serialize_link(link: Link) -> str:
-    return f"<{link.kind} {_attr_string(('lid', link.lid), _link_attrs(link))}/>"
-
-
 # -- display --------------------------------------------------------------
 
-def _attr_rows(doc: Document, tag: str, obj) -> list[tuple[str, str]]:
-    if isinstance(obj, (Event, Timex3)):
-        id_attr = "eid" if isinstance(obj, Event) else "tid"
-        rows = [(id_attr, getattr(obj, id_attr))]
-        rows += sorted(((k, v) for k, v in obj.attrs.items() if k != id_attr),
-                       key=lambda kv: kv[0].lower())
+def _attr_rows(doc: Document, obj) -> list[tuple[str, str]]:
+    rows = _ordered_attrs(obj)
+    if isinstance(obj, (Event, Timex3, Signal)):
         rows.append(("text", doc.text(obj)))
         rows.append(("position", position_string(doc.position(obj)) or "-"))
-        return rows
-    if isinstance(obj, Signal):
-        return [("sid", obj.sid), ("text", doc.text(obj)),
-                ("position", position_string(doc.position(obj)) or "-")]
-    if isinstance(obj, EventInstance):
-        rows = [("eiid", obj.eiid)]
-        rows += sorted(((k, v) for k, v in obj.attrs.items() if k != "eiid"),
-                       key=lambda kv: kv[0].lower())
-        return rows
-    link: Link = obj
-    rows = [("lid", link.lid)]
-    rows += sorted(_link_attrs(link).items(), key=lambda kv: kv[0].lower())
     return rows
 
 
@@ -123,7 +106,7 @@ def browse_tag(doc: Document, tag: str, tag_id: str, fmt: str = "screen") -> str
     if fmt == "timeml":
         return serialize_tag(doc, tag, tag_id)
     obj = _lookup(doc, tag, tag_id)
-    rows = _attr_rows(doc, tag, obj)
+    rows = _attr_rows(doc, obj)
     if fmt == "csv":
         return _csv([k for k, _ in rows], [[v for _, v in rows]])
     if fmt != "screen":

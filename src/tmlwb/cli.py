@@ -166,9 +166,12 @@ def _parse_show(t: _Tokens) -> Command:
             granularity = t.expect("document", "sentence")
         elif key == "min-freq":
             raw = t.next("minimum frequency")
-            if not raw.isdecimal():
-                raise CommandError(f"min-freq expects a number, got {raw!r}")
-            min_freq = int(raw)
+            try:
+                if not raw.isdecimal():
+                    raise ValueError
+                min_freq = int(raw)  # a ValueError past int()'s digit limit too
+            except ValueError:
+                raise CommandError(f"min-freq expects a number, got {raw!r}") from None
         else:
             fmt = t.expect("screen", "csv", "tex")
     return Command("show", report, {

@@ -27,9 +27,12 @@ keeps the running sums of the sentence lengths instead of the lengths. A
 save writes the columns and span bounds as they are, and a load builds no
 object per token. Records are written in sorted-id order and with sorted
 attribute names, so a loaded corpus iterates every dict in sorted key
-order. A file without "version" was written before versions existed;
-_legacy_to_v2 converts it to the version-2 dict, which the one loader then
-builds. Any other version is a StoreError. corpus_fingerprint is the
+order. A file of any other version, or with no "version" (as tmlwb wrote
+before versions existed), is a StoreError that tells the user to delete the
+corpus and import it again. A load refuses a record of the wrong type
+(a doc_id that is not an int, an id or a reference to one that is not a
+str, attributes that are not a dict of str, a TLINK relation type outside
+TLINK_RELATIONS) as not a tmlwb corpus, so no command fails on it later. corpus_fingerprint is the
 sha256 of the payload save_corpus writes, so a corpus has one encoding and
 its fingerprint is the hash of its stored corpus.json.
 
@@ -49,15 +52,16 @@ import os
 import shutil
 import tempfile
 import time
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import StoreError
 from .model import (
     Corpus, Document, Event, EventInstance, IntervalRef, Link, Signal, Timex3,
+    TLINK_RELATIONS,
 )
 
 ENV_HOME = "TMLWB_HOME"
@@ -197,7 +201,7 @@ class Store:
             raise StoreError(f"unknown corpus {name!r}; available: {available}")
         path = self._corpus_dir(name) / "corpus.json"
         with _collector_paused():
-            return _corpus_from_file(path)
+            return _corpus_from_file(path, name)
 
     def use_corpus(self, name: str) -> Corpus:
         """Load a corpus and mark it active for subsequent sessions."""
@@ -320,38 +324,17 @@ def _doc_to_disk(doc: Document) -> dict:
     }
 
 
-def _sentence_lengths(positions: list[tuple[int, int]]) -> list[int]:
-    """The token count of each sentence, from the (sentence, word) index
-    of every token of an unversioned file in reading order; both must count
-    up from 0."""
-    lengths = list(Counter(s for s, _ in positions).values())
-    if positions != [(s, w) for s, n in enumerate(lengths) for w in range(n)]:
-        raise ValueError("token positions do not count sentences and words "
-                         "up from 0")
-    return lengths
-
-
-def _span(indices: list[int]) -> list[int]:
-    """[first, end) of a run of consecutive token indices of an unversioned
-    file ([0, 0] if none)."""
-    first = indices[0] if indices else 0
-    end = first + len(indices)
-    if indices != list(range(first, end)):
-        raise ValueError("token indices are not one contiguous run")
-    return [first, end]
-
-
-def _corpus_from_file(path: Path) -> Corpus:
-    """Load a corpus.json of format version 2, or an unversioned one."""
+def _corpus_from_file(path: Path, name: str) -> Corpus:
+    """Load a corpus.json of store format version 2."""
     payload = _read_json(path)
+    # a JSON value that is not an object fails below as not a tmlwb corpus
+    if isinstance(payload, dict) and payload.get("version") != STORE_VERSION:
+        raise StoreError(
+            f"cannot read {path}: this tmlwb reads store format version "
+            f"{STORE_VERSION} only, and the file's \"version\" is "
+            f"{payload.get('version', 'missing')}; run 'corpus delete {name}', "
+            "then 'corpus import' the corpus again")
     try:
-        if "version" not in payload:
-            payload = _legacy_to_v2(payload)
-        elif payload["version"] != STORE_VERSION:
-            raise StoreError(
-                f"cannot read {path}: store format version "
-                f"{payload['version']!r} is unknown to this tmlwb, which "
-                f"reads version {STORE_VERSION}")
         return Corpus(name=payload["name"], note=payload["note"],
                       documents=[_doc_from_disk(d) for d in payload["documents"]])
     except (LookupError, TypeError, ValueError) as exc:
@@ -371,11 +354,24 @@ def _doc_from_disk(payload: dict) -> Document:
                          f"and {len(lemmas)} lemmas")
     "".join(surfaces), "".join(lemmas)  # TypeError unless every entry is a str
     events, timexes, signals = payload["events"], payload["timexes"], payload["signals"]
+    instances, links = payload["instances"], payload["links"]
+    if type(payload["doc_id"]) is not int:
+        raise TypeError(f"doc_id {payload['doc_id']!r} is not a number")
+    # a TypeError unless every attrs is a dict of str; this check and the
+    # one of the ids below run in C, not in a Python loop over the records
+    "".join(chain.from_iterable(map(dict.values, chain(
+        map(itemgetter(1), events), map(itemgetter(2), instances),
+        map(itemgetter(1), timexes)))))
+    unknown = {rel for kind, rel in set(map(itemgetter(1, 2), links))
+               if kind == "TLINK"} - TLINK_RELATIONS
+    if unknown:
+        raise ValueError("unknown TLINK relation type "
+                         + ", ".join(sorted(map(repr, unknown))))
     for record in (*events, *timexes, *signals):
         first, end = record[-2:]
         if not (type(first) is int and type(end) is int and 0 <= first <= end <= count):
             raise ValueError(f"span {record[-2:]} of {record[0]} is out of range")
-    return Document(
+    doc = Document(
         doc_id=payload["doc_id"],
         filename=payload["filename"],
         sentence_bounds=bounds,
@@ -384,45 +380,22 @@ def _doc_from_disk(payload: dict) -> Document:
         events={eid: Event(eid, attrs, first, end)
                 for eid, attrs, first, end in events},
         instances={eiid: EventInstance(eiid, event_id, attrs)
-                   for eiid, event_id, attrs in payload["instances"]},
+                   for eiid, event_id, attrs in instances},
         timexes={tid: Timex3(tid, attrs, first, end)
                  for tid, attrs, first, end in timexes},
         signals={sid: Signal(sid, first, end) for sid, first, end in signals},
         links={lid: Link(lid, kind, rel_type, IntervalRef(kind1, id1),
                          IntervalRef(kind2, id2), signal_id, origin)
                for lid, kind, rel_type, kind1, id1, kind2, id2, signal_id, origin
-               in payload["links"]},
+               in links},
         warnings=payload["warnings"],
     )
-
-
-def _legacy_to_v2(payload: dict) -> dict:
-    """The version-2 dict of an unversioned corpus.json, whose documents
-    hold [sentence, word, surface, lemma] tokens and, per tag, a dict of
-    its fields with its token indices."""
-    def doc(d: dict) -> dict:
-        tokens = d["tokens"]
-        return {
-            "doc_id": d["doc_id"],
-            "filename": d["filename"],
-            "warnings": d["warnings"],
-            "sentences": _sentence_lengths([(s, w) for s, w, _, _ in tokens]),
-            "surfaces": [t[2] for t in tokens],
-            "lemmas": [t[3] for t in tokens],
-            "events": [[eid, e["attrs"], *_span(e["tokens"])]
-                       for eid, e in d["events"].items()],
-            "instances": [[eiid, i["event_id"], i["attrs"]]
-                          for eiid, i in d["instances"].items()],
-            "timexes": [[tid, t["attrs"], *_span(t["tokens"])]
-                        for tid, t in d["timexes"].items()],
-            "signals": [[sid, *_span(s["tokens"])] for sid, s in d["signals"].items()],
-            "links": [[lid, l["kind"], l["rel_type"], *l["arg1"], *l["arg2"],
-                       l["signal_id"], l["origin"]] for lid, l in d["links"].items()],
-        }
-
-    return {"version": STORE_VERSION, "name": payload["name"],
-            "note": payload["note"],
-            "documents": [doc(d) for d in payload["documents"]]}
+    # a TypeError unless every id, and every id that a record refers to, is
+    # a str
+    "".join(chain(doc.events, doc.instances, doc.timexes, doc.signals, doc.links,
+                  map(itemgetter(1), instances), map(itemgetter(4), links),
+                  map(itemgetter(6), links)))
+    return doc
 
 
 def corpus_fingerprint(corpus: Corpus) -> str:

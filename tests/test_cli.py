@@ -25,6 +25,7 @@ except ModuleNotFoundError:  # Python 3.10
     tomllib = None
 
 PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
+NINES = "9" * 5000  # more digits than int() converts by default (4300)
 
 
 def _distribution_installed(name: str) -> bool:
@@ -368,9 +369,16 @@ class TestMainEntry:
         ("browse doc ²", "no document '²'"),
         ("show distribution of event class min-freq ²",
          "min-freq expects a number, got '²'"),
+        pytest.param(f"browse doc {NINES}", f"no document '{NINES}'",
+                     id="browse doc 9x5000"),
+        pytest.param(f"check orphans in {NINES}", f"no document '{NINES}'",
+                     id="check orphans in 9x5000"),
+        pytest.param(f"show distribution of event class min-freq {NINES}",
+                     "min-freq expects a number", id="min-freq 9x5000"),
     ])
     def test_digit_that_int_refuses(self, workspace, capsys, line, message):
-        """'²' is a digit to str.isdigit() but not a number to int()."""
+        """'²' is a digit to str.isdigit() but not a number to int(), and
+        int() refuses more digits than sys.get_int_max_str_digits()."""
         assert main(["-c", f"corpus import {FIXTURE_DIR} as m; corpus use m; {line}"]) == 1
         out = capsys.readouterr().out
         assert out.count("error:") == 1

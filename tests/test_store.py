@@ -229,8 +229,9 @@ class TestCrashSafety:
 
 
 def legacy_corpus_from_json(payload: dict) -> Corpus:
-    """The reader of the unversioned store format, kept as the reference
-    that version 2 must load alike."""
+    """The reader of the unversioned store format that preceded version 2.
+    tmlwb no longer reads that format; this reader stays as an independent
+    reference that the version-2 loader must build alike."""
     docs = []
     for d in payload["documents"]:
         tokens = d["tokens"]  # [sentence, word, surface, lemma]
@@ -266,8 +267,8 @@ def legacy_payload(corpus: Corpus) -> str:
 
 
 def legacy_corpus_to_json(corpus: Corpus) -> dict:
-    """The writer of the unversioned store format, kept as the reference
-    for the old-format files that version 2 must still read."""
+    """The writer of the unversioned store format, kept for the reference
+    reader above and for the unversioned file that a load must refuse."""
     return {
         "name": corpus.name,
         "note": corpus.note,
@@ -355,14 +356,24 @@ class TestFormatVersion2:
         doc = payload["documents"][0]
         assert sum(doc["sentences"]) == len(doc["surfaces"]) == len(doc["lemmas"])
 
-    def test_unversioned_file_loads(self, store, corpus, workspace):
+    def test_unversioned_file_refused(self, store, corpus, workspace, capsys):
+        """A corpus.json from before store versions is an error line that
+        names the fix, and the fix restores the corpus."""
         store.save_corpus(corpus)
         path = workspace / "corpora" / "fixture" / "corpus.json"
         path.write_text(legacy_payload(corpus), encoding="utf-8")
-        loaded = store.load_corpus("fixture")
-        expected = legacy_corpus_from_json(json.loads(legacy_payload(corpus)))
-        assert corpus_fingerprint(loaded) == corpus_fingerprint(corpus)
-        assert loaded_shape(loaded) == loaded_shape(expected)
+        assert main(["-c", "corpus use fixture"]) == 1
+        out = capsys.readouterr().out
+        assert out == (f"error: cannot read {path}: this tmlwb reads store format "
+                       "version 2 only, and the file's \"version\" is missing; run "
+                       "'corpus delete fixture', then 'corpus import' the corpus "
+                       "again\n")
+        assert main(["-c", f"corpus delete fixture; "
+                           f"corpus import {FIXTURE_DIR} as fixture"]) == 0
+        session = Session(store=Store())
+        assert run_commands(session, ["corpus use fixture"]) == 0
+        assert corpus_fingerprint(session.corpus) == (
+            "6160229060236bacb2a38f4392d49c8300e6b21a9507f1e86f4d98032a6d5035")
 
     def test_unknown_version_refused(self, store, corpus, workspace):
         store.save_corpus(corpus)
@@ -370,7 +381,8 @@ class TestFormatVersion2:
         payload = json.loads(path.read_text(encoding="utf-8"))
         payload["version"] = 99
         path.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(StoreError, match="store format version 99 is unknown"):
+        with pytest.raises(StoreError, match="the file's \"version\" is 99; run "
+                           "'corpus delete fixture'"):
             store.load_corpus("fixture")
 
     @pytest.mark.parametrize("corrupt", [
@@ -383,6 +395,12 @@ class TestFormatVersion2:
         lambda p: p["documents"][0]["links"].append(["l999", "TLINK"]),
         lambda p: p["documents"].append(None),
         lambda p: p.update(documents=7),
+        lambda p: p["documents"][1]["events"][0][1].update({"class": 5}),
+        lambda p: p["documents"][1]["events"][0].__setitem__(1, "abc"),
+        lambda p: p["documents"][1].update(doc_id="x"),
+        lambda p: p["documents"][1]["events"][0].__setitem__(0, 7),
+        lambda p: p["documents"][0]["links"][0].__setitem__(2, "NOPE"),
+        lambda p: p["documents"][1]["links"][0].__setitem__(4, 5),
     ])
     def test_corrupt_file_is_an_error_line(self, store, corpus, workspace, capsys,
                                            corrupt):
@@ -391,6 +409,16 @@ class TestFormatVersion2:
         payload = json.loads(path.read_text(encoding="utf-8"))
         corrupt(payload)
         path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["-c", "corpus use fixture"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"error: cannot read {path}: not a tmlwb corpus")
+        assert out.count("\n") == 1
+
+    @pytest.mark.parametrize("text", ['[]', '7', '"version"', 'null'])
+    def test_top_level_not_an_object(self, store, corpus, workspace, capsys, text):
+        store.save_corpus(corpus)
+        path = workspace / "corpora" / "fixture" / "corpus.json"
+        path.write_text(text, encoding="utf-8")
         assert main(["-c", "corpus use fixture"]) == 1
         out = capsys.readouterr().out
         assert out.startswith(f"error: cannot read {path}: not a tmlwb corpus")
