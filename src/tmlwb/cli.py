@@ -317,6 +317,10 @@ def _execute_corpus(session: Session, cmd: Command) -> str:
     session.store.save_corpus(corpus)
     lines = [f"Imported corpus {name!r}: {len(corpus.documents)} documents "
              f"({corpus.note})"]
+    warned = [len(doc.warnings) for doc in corpus.documents if doc.warnings]
+    if warned:
+        lines.append(f"warnings: {sum(warned)} in {len(warned)} "
+                     f"document{'s' if len(warned) > 1 else ''}")
     if fold.name == "sputlink" and not fold.mapping:
         lines.insert(0, "warning: sputlink fold table is empty (placeholder "
                         "file); no links were rewritten")

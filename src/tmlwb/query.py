@@ -5,8 +5,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import QueryError
 from .model import (
@@ -120,31 +121,35 @@ class ListResult:
 
 # -- one pass over a tag's occurrences ------------------------------------
 
-def _value_counts(corpus: Corpus, q: Query) -> list[tuple[str | None, Counter]]:
-    """The report field's value counts per group, sorted by group, from one
-    pass over each document's pool of the queried tag. Absent and empty
-    values count under None; occurrences the filter rejects not at all."""
+def _value_counts(corpus: Corpus, q: Query) -> Counter:
+    """Occurrence counts keyed by (group, value), from one pass over each
+    document's pool of the queried tag. The group is None (corpus), the
+    filename, or (filename, sentence number), with -1 (shown as "-") for no
+    position, so that groups sort by filename, then sentence number. Absent
+    and empty values count under None; occurrences filtered out not at all."""
     flt = q.filter
     fields = {q.field} if flt is None else {q.field, flt.field}
     if flt is not None:
         wanted = flt.op in ("is", "filled")
         target = (flt.value or "").lower() if flt.op in ("is", "is_not") else None
     value = _link_field if q.tag in ("tlink", "slink", "alink") else field_value
-    groups: dict[str | None, Counter] = defaultdict(Counter)
+    by_sentence = q.granularity == "sentence"
+    counts: Counter = Counter()
     for doc in corpus.documents:
+        sentences, values = [], []
         for obj in _pool(doc, q.tag, fields):
             if flt is not None:
                 v = value(doc, obj, flt.field)
                 if bool(v and (target is None or v.lower() == target)) != wanted:
                     continue
-            if q.granularity == "corpus":
-                group = None
-            elif q.granularity == "document":
-                group = doc.filename
-            else:
-                group = f"{doc.filename}:{_sentence(doc, obj)}"
-            groups[group][value(doc, obj, q.field) or None] += 1
-    return sorted(groups.items(), key=lambda kv: (kv[0] is not None, kv[0]))
+            if by_sentence:
+                sentences.append(_sentence(doc, obj))
+            values.append(value(doc, obj, q.field) or None)
+        # the (group, value) keys are built and counted in C, not one at a time
+        groups = (zip(repeat(doc.filename), sentences) if by_sentence
+                  else repeat(doc.filename if q.granularity == "document" else None))
+        counts.update(zip(groups, values))
+    return counts
 
 
 def _pool(doc: Document, tag: str, fields: set[str]):
@@ -176,50 +181,75 @@ def _link_field(doc: Document, link: Link, f: str) -> str | None:
     return None
 
 
-def _sentence(doc: Document, obj) -> str:
-    """The sentence of an occurrence (a link's arg1, an instance's event); "-" if none."""
+def _sentence(doc: Document, obj) -> int:
+    """The sentence number of an occurrence (a link's arg1, an instance's
+    event); -1 if it has no position."""
     if isinstance(obj, Link):
         obj = interval_span(doc, obj.arg1)
     elif isinstance(obj, EventInstance):
         obj = doc.events.get(obj.event_id)
-    position = doc.position(obj) if obj else None
-    return "-" if position is None else str(position[0])
+    return -1 if obj is None or obj.first == obj.end else doc.sentence_of(obj.first)
 
 
 # -- reports --------------------------------------------------------------
 
+class _Memo(dict):
+    """func of each distinct argument, computed once per report."""
+
+    def __init__(self, func):
+        self.func = func
+
+    def __missing__(self, arg):
+        self[arg] = result = self.func(arg)
+        return result
+
+
+def _label(group: str | tuple[str, int] | None) -> str | None:
+    """A group's label; a sentence group's is "filename:n", or "filename:-"."""
+    if isinstance(group, tuple):
+        return f"{group[0]}:{'-' if group[1] < 0 else group[1]}"
+    return group
+
+
 def report_distribution(corpus: Corpus, q: Query) -> DistributionResult:
-    """One row per distinct non-absent value, sorted by frequency descending
-    then value; proportions are fractions of the group total."""
-    rows: list[ReportRow] = []
-    total = 0
-    for group, counts in _value_counts(corpus, q):
-        counts.pop(None, None)
-        group_total = sum(counts.values())
-        total += group_total
-        ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        if q.min_freq is not None:
-            kept = [(v, n) for v, n in ordered if n >= q.min_freq]
-            folded = sum(n for _, n in ordered if n < q.min_freq)
-            ordered = kept + ([("Other", folded)] if folded else [])
-        for value, freq in ordered:
-            rows.append(ReportRow(value, freq, freq / group_total, group))
-    return DistributionResult(rows, total)
+    """One row per distinct non-absent value, sorted by group, then by
+    frequency descending, then by value; proportions are fractions of the
+    group total. With min_freq, the rarer values of a group fold into one
+    "Other" row at its end."""
+    least = q.min_freq or 0  # frequencies are at least 1, so 0 folds nothing
+    totals: dict = {}
+    folded: dict = {}
+    keys = []  # (group, rank, value, frequency); rank -frequency, or 0 for Other
+    for (group, value), n in _value_counts(corpus, q).items():
+        if value is None:
+            continue
+        totals[group] = totals.get(group, 0) + n
+        if n >= least:
+            keys.append((group, -n, value, n))
+        else:
+            folded[group] = folded.get(group, 0) + n
+    keys.extend((group, 0, "Other", n) for group, n in folded.items())
+    keys.sort()
+    labels = {group: _label(group) for group in totals}
+    rows = [ReportRow(value, n, n / totals[group], labels[group])
+            for group, _, value, n in keys]
+    return DistributionResult(rows, sum(totals.values()))
 
 
 def report_state(corpus: Corpus, q: Query) -> StateResult:
-    """Filled/unfilled occurrence counts for one field."""
-    groups = [StateGroup(counts.total() - counts[None], counts[None], group)
-              for group, counts in _value_counts(corpus, q)]
+    """Filled/unfilled occurrence counts for one field, per group."""
+    states: dict = {}  # group -> [filled, unfilled]
+    for (group, value), n in _value_counts(corpus, q).items():
+        states.setdefault(group, [0, 0])[value is None] += n
+    groups = [StateGroup(*states[group], _label(group)) for group in sorted(states)]
     return StateResult(groups or [StateGroup(0, 0, None)])
 
 
 def report_list(corpus: Corpus, q: Query) -> ListResult:
-    """Sorted distinct non-absent values."""
-    rows: list[tuple[str | None, str]] = []
-    for group, counts in _value_counts(corpus, q):
-        rows.extend((group, v) for v in sorted(v for v in counts if v is not None))
-    return ListResult(rows)
+    """Sorted distinct non-absent values, per group."""
+    labels = _Memo(_label)
+    return ListResult([(labels[group], value) for group, value in
+                       sorted(key for key in _value_counts(corpus, q) if key[1] is not None)])
 
 
 def run_query(corpus: Corpus, q: Query):
@@ -243,10 +273,6 @@ def format_percent(fraction: float) -> str:
     if rounded != 0 and math.floor(math.log10(abs(rounded))) > exponent:
         decimals = max(0, decimals - 1)  # rounding bumped the magnitude
     return f"{rounded:.{decimals}f}"
-
-
-def _group_header(q: Query) -> str:
-    return "Document" if q.granularity == "document" else "Sentence"
 
 
 def format_report(result, q: Query) -> str:
@@ -273,89 +299,67 @@ def _title(q: Query) -> str:
     return title
 
 
+def _grouped(q: Query, header: list[str], table: list[tuple[str, ...]]):
+    """The header and rows of a report's table. Each row of table starts with
+    its group, which is dropped from a report of the whole corpus."""
+    if q.granularity == "corpus":
+        return header, [row[1:] for row in table]
+    return [("Document" if q.granularity == "document" else "Sentence"), *header], table
+
+
 def _format_distribution(result: DistributionResult, q: Query) -> str:
-    grouped = q.granularity != "corpus"
-    header = (["Value", "Frequency", "Proportion"] if not grouped
-              else [_group_header(q), "Value", "Frequency", "Proportion"])
-    table = []
-    for row in result.rows:
-        cells = [row.value, str(row.frequency), format_percent(row.proportion) + "%"]
-        if grouped:
-            cells.insert(0, row.group or "")
-        table.append(cells)
+    percent = _Memo(lambda fraction: format_percent(fraction) + "%")
+    header, table = _grouped(q, ["Value", "Frequency", "Proportion"], [
+        (row.group or "", row.value, str(row.frequency), percent[row.proportion])
+        for row in result.rows])
     if q.fmt == "csv":
         return _csv(header, table)
     if q.fmt == "tex":
-        return _tex(header, table, _title(q),
-                    total_row=["Total", str(result.total), ""])
+        return _tex(header, table, _title(q), result.total)
     return _screen(header, table, numeric={len(header) - 2})
 
 
 def _format_state(result: StateResult, q: Query) -> str:
-    grouped = q.granularity != "corpus"
-    total = result.filled + result.unfilled
-    if q.fmt in ("csv", "tex"):
-        header = ["State", "Count", "Proportion"]
-        if grouped:
-            header.insert(0, _group_header(q))
-        table = []
-        for g in result.groups:
-            g_total = g.filled + g.unfilled
-            for label, count in ((f"{q.field} filled", g.filled),
-                                 (f"{q.field} unfilled", g.unfilled)):
-                pct = format_percent(count / g_total) + "%" if g_total else "-"
-                cells = [label, str(count), pct]
-                if grouped:
-                    cells.insert(0, g.group or "")
-                table.append(cells)
-        if q.fmt == "csv":
-            return _csv(header, table)
-        return _tex(header, table, _title(q),
-                    total_row=["Total", str(total), ""])
-    # screen format
-    lines = [f"  Count  State of {q.tag.capitalize()} {q.field}",
-             " " + "=" * 43]
-    filled_label = f"{q.field} filled"
-    unfilled_label = f"{q.field} unfilled"
-    width = len(unfilled_label)
-    for g in result.groups:
-        prefix = f"[{g.group}] " if grouped and g.group else ""
-        g_total = g.filled + g.unfilled
-        for label, count in ((filled_label, g.filled), (unfilled_label, g.unfilled)):
-            pct = format_percent(count / g_total) if g_total else "-"
-            lines.append(f"{count:7d}  {prefix}{label:<{width}} ({pct}%)")
-    return "\n".join(lines)
+    percent = _Memo(format_percent)
+    # (group, state, count, percentage without its sign; "-" if no occurrences)
+    states = [(g.group, f"{q.field} {state}", count,
+               percent[count / (g.filled + g.unfilled)] if g.filled + g.unfilled else "-")
+              for g in result.groups
+              for state, count in (("filled", g.filled), ("unfilled", g.unfilled))]
+    if q.fmt == "screen":
+        width = len(f"{q.field} unfilled")
+        lines = [f"  Count  State of {q.tag.capitalize()} {q.field}", " " + "=" * 43]
+        lines.extend([f"{count:7d}  {f'[{group}] ' if group else ''}{state:<{width}} ({pct}%)"
+                      for group, state, count, pct in states])
+        return "\n".join(lines)
+    header, table = _grouped(q, ["State", "Count", "Proportion"], [
+        (group or "", state, str(count), pct if pct == "-" else pct + "%")
+        for group, state, count, pct in states])
+    if q.fmt == "csv":
+        return _csv(header, table)
+    return _tex(header, table, _title(q), result.filled + result.unfilled)
 
 
 def _format_list(result: ListResult, q: Query) -> str:
-    grouped = q.granularity != "corpus"
-    header = ["Value"] if not grouped else [_group_header(q), "Value"]
-    table = [([value] if not grouped else [group or "", value])
-             for group, value in result.rows]
+    header, table = _grouped(q, ["Value"], [(group or "", value)
+                                            for group, value in result.rows])
     if q.fmt == "csv":
         return _csv(header, table)
     if q.fmt == "tex":
         return _tex(header, table, _title(q))
-    if grouped:
+    if q.granularity != "corpus":
         return _screen(header, table, numeric=set())
     return "\n".join(value for _, value in result.rows)
 
 
-def _screen(header: list[str], rows: list[list[str]], numeric: set[int]) -> str:
-    widths = [max(len(header[i]), *(len(r[i]) for r in rows), 1) if rows
-              else len(header[i]) for i in range(len(header))]
-
-    def render(cells):
-        parts = []
-        for i, cell in enumerate(cells):
-            if i in numeric:
-                parts.append(cell.rjust(widths[i]))
-            else:
-                parts.append(cell.ljust(widths[i]))
-        return (" " + "  ".join(parts)).rstrip()
-
-    lines = [render(header), " " + "=" * (sum(widths) + 2 * (len(widths) - 1))]
-    lines.extend(render(r) for r in rows)
+def _screen(header: list[str], rows: list[tuple[str, ...]], numeric: set[int]) -> str:
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    # one format template aligns every row: numeric columns right, others left
+    template = " " + "  ".join(f"{{:{'>' if i in numeric else '<'}{width}}}"
+                               for i, width in enumerate(widths))
+    lines = [template.format(*header).rstrip(),
+             " " + "=" * (sum(widths) + 2 * (len(widths) - 1))]
+    lines.extend([template.format(*r).rstrip() for r in rows])
     return "\n".join(lines)
 
 
@@ -373,30 +377,25 @@ _TEX_ESCAPES = str.maketrans({
 })
 
 
-def _tex_escape(text: str) -> str:
-    return text.translate(_TEX_ESCAPES)
-
-
-def _tex(header: list[str], rows: list[list[str]], caption: str,
-         total_row: list[str] | None = None) -> str:
+def _tex(header: list[str], rows: list[tuple[str, ...]], caption: str,
+         total: int | None = None) -> str:
     label = "tab:" + "".join(c if c.isalnum() else "-" for c in caption).strip("-")
     columns = " | ".join(["l"] + ["r"] * (len(header) - 1))
+    escape = _Memo(lambda text: text.translate(_TEX_ESCAPES)).__getitem__
     lines = [
         "\\begin{table}",
         "\\begin{center}",
-        f"\\caption{{{_tex_escape(caption)}}}",
+        f"\\caption{{{escape(caption)}}}",
         f"\\label{{{label}}}",
         f"\\begin{{tabular}}{{ | {columns} | }}",
         "\\hline",
-        " & ".join(f"\\textbf{{{_tex_escape(h)}}}" for h in header) + " \\\\",
+        " & ".join(f"\\textbf{{{escape(h)}}}" for h in header) + " \\\\",
         "\\hline",
     ]
-    for row in rows:
-        lines.append(" & ".join(_tex_escape(c) for c in row) + " \\\\")
+    lines.extend([" & ".join(map(escape, row)) + " \\\\" for row in rows])
     lines.append("\\hline")
-    if total_row is not None:
-        total_row = total_row + [""] * (len(header) - len(total_row))
-        lines.append(" & ".join(_tex_escape(c) for c in total_row) + " \\\\")
-        lines.append("\\hline")
+    if total is not None:
+        lines += [" & ".join(["Total", str(total)] + [""] * (len(header) - 2)) + " \\\\",
+                  "\\hline"]
     lines.extend(["\\end{tabular}", "\\end{center}", "\\end{table}"])
     return "\n".join(lines)

@@ -32,7 +32,9 @@ before versions existed), is a StoreError that tells the user to delete the
 corpus and import it again. A load refuses a record of the wrong type
 (a doc_id that is not an int, an id or a reference to one that is not a
 str, attributes that are not a dict of str, a TLINK relation type outside
-TLINK_RELATIONS) as not a tmlwb corpus, so no command fails on it later. corpus_fingerprint is the
+TLINK_RELATIONS, a filename, token or warning that is not a str) as not a
+tmlwb corpus, so no command fails on it later, and the refusal names the
+index and filename of the failing document record. corpus_fingerprint is the
 sha256 of the payload save_corpus writes, so a corpus has one encoding and
 its fingerprint is the hash of its stored corpus.json.
 
@@ -334,12 +336,21 @@ def _corpus_from_file(path: Path, name: str) -> Corpus:
             f"{STORE_VERSION} only, and the file's \"version\" is "
             f"{payload.get('version', 'missing')}; run 'corpus delete {name}', "
             "then 'corpus import' the corpus again")
+    in_documents = False
     try:
-        return Corpus(name=payload["name"], note=payload["note"],
-                      documents=[_doc_from_disk(d) for d in payload["documents"]])
+        corpus = Corpus(name=payload["name"], note=payload["note"])
+        for record in payload["documents"]:
+            in_documents = True
+            corpus.documents.append(_doc_from_disk(record))
     except (LookupError, TypeError, ValueError) as exc:
+        where = ""
+        if in_documents:  # the record that failed is documents[len(corpus.documents)]
+            filename = record.get("filename") if isinstance(record, dict) else None
+            where = f"documents[{len(corpus.documents)}]" + (
+                f" {filename!r}" if isinstance(filename, str) else "") + ", "
         raise StoreError(f"cannot read {path}: not a tmlwb corpus "
-                         f"({type(exc).__name__}: {exc})") from None
+                         f"({where}{type(exc).__name__}: {exc})") from None
+    return corpus
 
 
 def _doc_from_disk(payload: dict) -> Document:
@@ -352,7 +363,8 @@ def _doc_from_disk(payload: dict) -> Document:
     if not len(surfaces) == len(lemmas) == count:
         raise ValueError(f"{count} tokens but {len(surfaces)} surfaces "
                          f"and {len(lemmas)} lemmas")
-    "".join(surfaces), "".join(lemmas)  # TypeError unless every entry is a str
+    # a TypeError unless every token and warning, and the filename, is a str
+    "".join(surfaces), "".join(lemmas), "".join(payload["warnings"]) + payload["filename"]
     events, timexes, signals = payload["events"], payload["timexes"], payload["signals"]
     instances, links = payload["instances"], payload["links"]
     if type(payload["doc_id"]) is not int:

@@ -144,16 +144,21 @@ def _grouped(corpus, q: Query):
     if q.filter is not None:
         occurrences = [o for o in occurrences
                        if _matches(o.values.get(q.filter.field), q.filter)]
-    groups: dict[str | None, list[_Occurrence]] = {}
+    groups: dict[tuple, tuple[str | None, list[_Occurrence]]] = {}
     for occ in occurrences:
+        # documents sort by filename, and sentences by number within their
+        # document, after the sentence-less "-" group (False < True)
         if q.granularity == "corpus":
-            key = None
+            order, label = (), None
         elif q.granularity == "document":
-            key = occ.doc.filename
+            order, label = (occ.doc.filename,), occ.doc.filename
+        elif occ.sentence is None:
+            order, label = (occ.doc.filename, False, 0), f"{occ.doc.filename}:-"
         else:
-            key = f"{occ.doc.filename}:{'-' if occ.sentence is None else occ.sentence}"
-        groups.setdefault(key, []).append(occ)
-    return sorted(groups.items(), key=lambda kv: (kv[0] is not None, kv[0]))
+            order = (occ.doc.filename, True, occ.sentence)
+            label = f"{occ.doc.filename}:{occ.sentence}"
+        groups.setdefault(order, (label, []))[1].append(occ)
+    return [groups[order] for order in sorted(groups)]
 
 
 def run_query(corpus, q: Query):

@@ -230,6 +230,27 @@ class TestCorpusCommands:
         assert code == 0
         assert "Imported corpus 'timeml': 8 documents" in out
 
+    def test_import_counts_warnings(self, workspace, tmp_path):
+        """The summary counts the parse warnings, here of dangling references."""
+        corpus_dir = tmp_path / "dangling"
+        corpus_dir.mkdir()
+        shutil.copy(FIXTURE_DIR / "consistent.tml", corpus_dir)
+        sess = Session(store=Store())
+        _, out = run(sess, [f"corpus import {corpus_dir} as clean"])
+        assert out.splitlines() == ["Imported corpus 'clean': 1 documents (fold=none)"]
+        (corpus_dir / "dangling.tml").write_text(
+            '<TimeML>He <EVENT eid="e1" class="STATE">slept</EVENT>.\n'
+            '<MAKEINSTANCE eiid="ei1" eventID="e1"/>\n'
+            '<TLINK lid="l1" relType="BEFORE" eventInstanceID="ei1" relatedToTime="t9"/>\n'
+            '<TLINK lid="l2" relType="AFTER" eventInstanceID="ei9" relatedToTime="t9"/>\n'
+            '</TimeML>\n', encoding="utf-8")
+        code, out = run(sess, [f"corpus import {corpus_dir} as dangling"])
+        assert code == 0
+        assert out.startswith("Imported corpus 'dangling': 2 documents")
+        assert out.splitlines()[1] == "warnings: 3 in 1 document"
+        _, out = run(sess, [f"corpus import {FIXTURE_DIR} as fixture"])
+        assert out.splitlines()[1] == "warnings: 1 in 1 document"  # orphans.tml
+
     def test_list_marks_active(self, session):
         _, out = run(session, ["corpus list"])
         assert out.splitlines()[0].startswith("* fix")

@@ -70,6 +70,37 @@ class TestDistribution:
         assert sum(r.frequency for r in result.rows) == 28
 
 
+class TestSentenceGroupOrder:
+    """By-sentence groups sort by filename, then by sentence number, with the
+    group of occurrences that have no position ("-") first."""
+
+    @pytest.fixture
+    def corpus(self):
+        corpus = Corpus("order", "fold=none")
+        for doc_id, filename, sentences in ((1, "a.tml2", [1]), (2, "a.tml", [10, 2, None])):
+            doc = Document(doc_id=doc_id, filename=filename)
+            for _ in range(12):
+                doc.surfaces.append("x")
+                doc.lemmas.append("x")
+                doc.sentence_bounds.append(len(doc.surfaces))
+            for i, sentence in enumerate(sentences):
+                first, end = (0, 0) if sentence is None else (sentence, sentence + 1)
+                doc.events[f"e{i}"] = Event(f"e{i}", {"eid": f"e{i}", "class": "STATE"},
+                                            first, end)
+            corpus.documents.append(doc)
+        return corpus
+
+    @pytest.mark.parametrize("report", REPORTS)
+    def test_numeric_order(self, corpus, report):
+        q = Query(report, "event", "class", granularity="sentence")
+        result = run_query(corpus, q)
+        groups = ([g.group for g in result.groups] if report == "state"
+                  else [row.group if report == "distribution" else row[0]
+                        for row in result.rows])
+        assert groups == ["a.tml:-", "a.tml:2", "a.tml:10", "a.tml2:1"]
+        assert format_report(result, q) == format_report(reference.run_query(corpus, q), q)
+
+
 class TestState:
     def test_tlink_signalid(self, corpus):
         result = report_state(corpus, Query("state", "tlink", "signalid"))

@@ -401,6 +401,10 @@ class TestFormatVersion2:
         lambda p: p["documents"][1]["events"][0].__setitem__(0, 7),
         lambda p: p["documents"][0]["links"][0].__setitem__(2, "NOPE"),
         lambda p: p["documents"][1]["links"][0].__setitem__(4, 5),
+        lambda p: p["documents"][0].update(filename=5),
+        lambda p: p["documents"][0].update(filename=None),
+        lambda p: p["documents"][0].update(warnings=[5]),
+        lambda p: p["documents"][0].update(warnings=7),
     ])
     def test_corrupt_file_is_an_error_line(self, store, corpus, workspace, capsys,
                                            corrupt):
@@ -409,10 +413,32 @@ class TestFormatVersion2:
         payload = json.loads(path.read_text(encoding="utf-8"))
         corrupt(payload)
         path.write_text(json.dumps(payload), encoding="utf-8")
-        assert main(["-c", "corpus use fixture"]) == 1
+        # browse doc's "did you mean" hint reads every filename
+        assert main(["-c", "corpus use fixture; browse doc nosuch"]) == 1
         out = capsys.readouterr().out
         assert out.startswith(f"error: cannot read {path}: not a tmlwb corpus")
         assert out.count("\n") == 1
+
+    @pytest.mark.parametrize("corrupt, where", [
+        (lambda p: p["documents"][1]["events"][0][1].update({"class": 5}),
+         "(documents[1] 'consistent.tml', TypeError: "),
+        (lambda p: p["documents"][1]["events"][0].__setitem__(0, 7),
+         "(documents[1] 'consistent.tml', TypeError: "),
+        (lambda p: p["documents"][2].update(filename=5), "(documents[2], TypeError: "),
+        (lambda p: p["documents"].append(None), "(documents[8], TypeError: "),
+        (lambda p: p.pop("note"), "(KeyError: 'note')"),
+        (lambda p: p.update(documents=7), "(TypeError: "),
+    ])
+    def test_refusal_names_the_document(self, store, corpus, workspace, corrupt, where):
+        store.save_corpus(corpus)
+        path = workspace / "corpora" / "fixture" / "corpus.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        corrupt(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(StoreError) as refusal:
+            store.load_corpus("fixture")
+        assert str(refusal.value).startswith(
+            f"cannot read {path}: not a tmlwb corpus {where}")
 
     @pytest.mark.parametrize("text", ['[]', '7', '"version"', 'null'])
     def test_top_level_not_an_object(self, store, corpus, workspace, capsys, text):
