@@ -4,17 +4,22 @@ A Document holds the tags of one TimeML file. Its tokens are columns, as
 the store writes them: every surface, every lemma, and the sentence bounds
 (the token index at which each sentence starts, then the token count). An
 EVENT, TIMEX3 or SIGNAL names its tokens as one range [first, end) of those
-columns, (0, 0) when it has none, and the document answers a span's text,
-lemma and position. Tag objects keep the
-raw XML attribute dictionary so that re-serialization loses nothing; typed
-accessors cover the attributes the rest of the workbench needs. Everything
-is treated as immutable after load.
+columns, (0, 0) when it has none, and the document answers a span's text
+and position. Tag objects keep the raw XML attribute dictionary so that
+re-serialization loses nothing; typed accessors cover the attributes the
+rest of the workbench needs. Everything is treated as immutable after load.
+
+Reports read fields through one resolver, Document.column: one field of
+every occurrence in a pool (a tag's, or a link kind's), in pool order, or
+their sentence numbers. A document keeps each column it builds for as long
+as it lives; the store never writes them.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache
+from operator import attrgetter
 
 # the closed set of TLINK relation types
 TLINK_RELATIONS = frozenset({
@@ -29,7 +34,7 @@ INSTANCE = "instance"
 TIMEX = "timex"
 
 # attributes that live on MAKEINSTANCE; an instance takes every other field
-# from its EVENT (see field_value)
+# from its EVENT (see Document.column)
 INSTANCE_SOURCED = ("tense", "aspect", "polarity", "modality", "cardinality",
                     "pos", "signalid")
 
@@ -49,15 +54,11 @@ def _key_map(names: tuple[str, ...]) -> dict[str, str]:
 
 
 class Attributed:
-    """A tag whose raw XML attributes are read without regard to case."""
+    """A tag whose raw XML attributes are read without regard to case, through
+    attr_keys (see _attr_column)."""
 
     def __post_init__(self):
         self.attr_keys = _key_map(tuple(self.attrs))
-
-    def attr(self, name: str) -> str | None:
-        """The attribute whose lowercase name is name; None when absent or empty."""
-        key = self.attr_keys.get(name)
-        return None if key is None else self.attrs[key] or None
 
 
 @dataclass
@@ -128,6 +129,9 @@ class Document:
     signals: dict[str, Signal] = field(default_factory=dict)
     links: dict[str, Link] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
+    # the columns column() has built, by (pool, field); never stored, and
+    # new and empty in a copy made by dataclasses.replace
+    _columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def tlinks(self) -> list[Link]:
@@ -136,12 +140,23 @@ class Document:
     def text(self, span: Event | Timex3 | Signal) -> str:
         return " ".join(self.surfaces[span.first:span.end])
 
-    def lemma(self, span: Event | Timex3 | Signal) -> str:
-        return " ".join(self.lemmas[span.first:span.end])
-
     def sentence_of(self, index: int) -> int:
         """The sentence of the token at index."""
         return bisect_right(self.sentence_bounds, index) - 1
+
+    def column(self, pool: str, name: str | None) -> tuple:
+        """One field of every occurrence in a pool, in pool order (see
+        _build_column); name None gives each occurrence's sentence number.
+        A column is built on first use and kept: the model is immutable
+        after load."""
+        key = (pool, name)
+        column = self._columns.get(key)
+        if column is None:
+            # a tuple of str, int and None leaves the cyclic collector's care
+            # at its next pass, so kept columns add nothing to the collection
+            # that each corpus load starts with
+            column = self._columns[key] = tuple(_build_column(self, pool, name))
+        return column
 
     def position(self, span: Event | Timex3 | Signal) -> tuple[int, int] | None:
         """(sentence, word) of a span's first token; None if it has none."""
@@ -175,36 +190,77 @@ def position_string(pos: tuple[int, int] | None) -> str | None:
     return None if pos is None else f"{pos[0]}:{pos[1]}"
 
 
-def field_value(doc: Document, obj: Event | EventInstance | Timex3 | Signal,
-                name: str) -> str | None:
-    """The value of one field of an EVENT, MAKEINSTANCE, TIMEX3 or SIGNAL;
-    None when it is absent or empty.
+# link fields read from the Link record
+_LINK_GETTERS = {
+    "lid": attrgetter("lid"), "reltype": attrgetter("rel_type"),
+    "arg1": attrgetter("arg1.ref_id"), "arg2": attrgetter("arg2.ref_id"),
+    "signalid": attrgetter("signal_id"), "origin": attrgetter("origin"),
+}
 
-    An instance takes its own attributes (INSTANCE_SOURCED, eiid, eventid)
-    from the MAKEINSTANCE tag and every other field from the EVENT it
-    instantiates; when that reference dangles, those fields are None.
-    Other fields are the tag's id, its span's text, lemma and position, or
-    an XML attribute looked up without regard to case.
+
+def _build_column(doc: Document, pool: str, name: str | None) -> list:
+    """The values of one field over a pool of occurrences, in pool order;
+    None where a value is absent or empty. With name None, the sentence
+    number of each occurrence's first token, -1 when it has none.
+
+    A pool is "event", "instance", "timex3" or "signal" (the tags, in
+    document order), or "tlink", "slink" or "alink" (the links of that
+    kind). An instance takes its own attributes (INSTANCE_SOURCED, eiid,
+    eventid) from the MAKEINSTANCE tag and every other field, and its
+    sentence, from the EVENT it instantiates; when that reference dangles,
+    those are None (-1). A link's sentence is that of its arg1. Other
+    fields are the tag's id, its span's text, lemma and position, or an
+    XML attribute looked up without regard to case. The field is decided
+    once, and one comprehension builds the column.
     """
-    if isinstance(obj, EventInstance):
+    if pool in ("tlink", "slink", "alink"):
+        kind = pool.upper()
+        links = [link for link in doc.links.values() if link.kind == kind]
+        if name == "signaltext":
+            return [link_signal_text(doc, link) for link in links]
+        if name is not None:
+            get = _LINK_GETTERS.get(name)
+            return [None] * len(links) if get is None else [get(link) or None for link in links]
+        spans = [interval_span(doc, link.arg1) for link in links]
+    elif pool == "instance":
+        instances = doc.instances.values()
         if name == "eiid":
-            return obj.eiid
+            return [inst.eiid or None for inst in instances]
         if name == "eventid":
-            return obj.event_id or None
+            return [inst.event_id or None for inst in instances]
         if name in INSTANCE_SOURCED:
-            return obj.attr(name)
-        obj = doc.events.get(obj.event_id)
-        if obj is None:
-            return None
-    if name == "text":
-        return doc.text(obj) or None
-    if name == "lemma":
-        return doc.lemma(obj) or None
+            return _attr_column(instances, name)
+        spans = [doc.events.get(inst.event_id) for inst in instances]
+    else:
+        spans = list({"event": doc.events, "timex3": doc.timexes,
+                      "signal": doc.signals}[pool].values())
+    # spans holds the Event, Timex3 or Signal of each occurrence, or None
+    if name is None:
+        bounds = doc.sentence_bounds
+        return [-1 if span is None or span.first == span.end
+                else bisect_right(bounds, span.first) - 1 for span in spans]
+    if name in ("text", "lemma"):
+        words = doc.surfaces if name == "text" else doc.lemmas
+        # most spans are one token, which needs no slice or join
+        return [None if span is None or span.first == span.end
+                else words[span.first] or None if span.end - span.first == 1
+                else " ".join(words[span.first:span.end]) for span in spans]
     if name == "position":
-        return position_string(doc.position(obj))
+        bounds = doc.sentence_bounds
+        return [None if sentence < 0 else f"{sentence}:{span.first - bounds[sentence]}"
+                for span, sentence in zip(spans, doc.column(pool, None))]
     if name in ("eid", "tid", "sid"):
-        return getattr(obj, name, None)
-    return obj.attr(name) if isinstance(obj, Attributed) else None
+        return [getattr(span, name, None) or None for span in spans]
+    if pool == "signal":  # a SIGNAL has no attributes
+        return [None] * len(spans)
+    return _attr_column(spans, name)
+
+
+def _attr_column(tags, name: str) -> list[str | None]:
+    """The XML attribute whose lowercase name is name, of each tag (which may
+    be None); None when absent or empty."""
+    return [None if tag is None or (key := tag.attr_keys.get(name)) is None
+            else tag.attrs[key] or None for tag in tags]
 
 
 def interval_span(doc: Document, ref: IntervalRef) -> Event | Timex3 | None:

@@ -7,13 +7,10 @@ import io
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
 
 from .errors import QueryError
-from .model import (
-    Corpus, Document, EventInstance, INSTANCE_SOURCED, Link, field_value,
-    interval_span, link_signal_text,
-)
+from .model import Corpus, INSTANCE_SOURCED
 
 REPORTS = ("list", "distribution", "state")
 TAGS = ("event", "instance", "timex3", "signal", "tlink", "slink", "alink")
@@ -122,29 +119,29 @@ class ListResult:
 # -- one pass over a tag's occurrences ------------------------------------
 
 def _value_counts(corpus: Corpus, q: Query) -> Counter:
-    """Occurrence counts keyed by (group, value), from one pass over each
-    document's pool of the queried tag. The group is None (corpus), the
-    filename, or (filename, sentence number), with -1 (shown as "-") for no
-    position, so that groups sort by filename, then sentence number. Absent
-    and empty values count under None; occurrences filtered out not at all."""
+    """Occurrence counts keyed by (group, value), from the columns of the
+    queried field (and of the filter's field, and of the sentence numbers)
+    over each document's pool of the queried tag. The group is None
+    (corpus), the filename, or (filename, sentence number), with -1 (shown
+    as "-") for no position, so that groups sort by filename, then sentence
+    number. Absent and empty values count under None; occurrences filtered
+    out not at all."""
     flt = q.filter
     fields = {q.field} if flt is None else {q.field, flt.field}
-    if flt is not None:
-        wanted = flt.op in ("is", "filled")
-        target = (flt.value or "").lower() if flt.op in ("is", "is_not") else None
-    value = _link_field if q.tag in ("tlink", "slink", "alink") else field_value
+    # the event/instance abstraction: instance-sourced fields make an event
+    # query range over event instances rather than events
+    pool = ("instance" if q.tag == "event" and not fields.isdisjoint(INSTANCE_SOURCED)
+            else q.tag)
     by_sentence = q.granularity == "sentence"
     counts: Counter = Counter()
     for doc in corpus.documents:
-        sentences, values = [], []
-        for obj in _pool(doc, q.tag, fields):
-            if flt is not None:
-                v = value(doc, obj, flt.field)
-                if bool(v and (target is None or v.lower() == target)) != wanted:
-                    continue
+        values = doc.column(pool, q.field)
+        sentences = doc.column(pool, None) if by_sentence else None
+        if flt is not None:
+            kept = _kept(doc.column(pool, flt.field), flt)
+            values = compress(values, kept)
             if by_sentence:
-                sentences.append(_sentence(doc, obj))
-            values.append(value(doc, obj, q.field) or None)
+                sentences = compress(sentences, kept)
         # the (group, value) keys are built and counted in C, not one at a time
         groups = (zip(repeat(doc.filename), sentences) if by_sentence
                   else repeat(doc.filename if q.granularity == "document" else None))
@@ -152,43 +149,16 @@ def _value_counts(corpus: Corpus, q: Query) -> Counter:
     return counts
 
 
-def _pool(doc: Document, tag: str, fields: set[str]):
-    if tag in ("tlink", "slink", "alink"):
-        kind = tag.upper()
-        return [link for link in doc.links.values() if link.kind == kind]
-    # the event/instance abstraction: instance-sourced fields make an event
-    # query range over event instances rather than events
-    if tag == "instance" or (tag == "event" and not fields.isdisjoint(INSTANCE_SOURCED)):
-        return doc.instances.values()
-    return {"event": doc.events, "timex3": doc.timexes, "signal": doc.signals}[tag].values()
-
-
-def _link_field(doc: Document, link: Link, f: str) -> str | None:
-    if f == "lid":
-        return link.lid
-    if f == "reltype":
-        return link.rel_type or None
-    if f == "arg1":
-        return link.arg1.ref_id
-    if f == "arg2":
-        return link.arg2.ref_id
-    if f == "signalid":
-        return link.signal_id
-    if f == "origin":
-        return link.origin
-    if f == "signaltext":
-        return link_signal_text(doc, link)
-    return None
-
-
-def _sentence(doc: Document, obj) -> int:
-    """The sentence number of an occurrence (a link's arg1, an instance's
-    event); -1 if it has no position."""
-    if isinstance(obj, Link):
-        obj = interval_span(doc, obj.arg1)
-    elif isinstance(obj, EventInstance):
-        obj = doc.events.get(obj.event_id)
-    return -1 if obj is None or obj.first == obj.end else doc.sentence_of(obj.first)
+def _kept(column: tuple[str | None, ...], flt: Filter):
+    """Which values of a column a where filter keeps, as compress selectors."""
+    if flt.op == "filled":
+        return column  # values are None or non-empty
+    if flt.op == "unfilled":
+        return [value is None for value in column]
+    target = (flt.value or "").lower()
+    if flt.op == "is":
+        return [value is not None and value.lower() == target for value in column]
+    return [value is None or value.lower() != target for value in column]
 
 
 # -- reports --------------------------------------------------------------

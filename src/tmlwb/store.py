@@ -32,7 +32,8 @@ before versions existed), is a StoreError that tells the user to delete the
 corpus and import it again. A load refuses a record of the wrong type
 (a doc_id that is not an int, an id or a reference to one that is not a
 str, attributes that are not a dict of str, a TLINK relation type outside
-TLINK_RELATIONS, a filename, token or warning that is not a str) as not a
+TLINK_RELATIONS, surfaces, lemmas or warnings that are not a list, a
+filename, token or warning that is not a str) as not a
 tmlwb corpus, so no command fails on it later, and the refusal names the
 index and filename of the failing document record. corpus_fingerprint is the
 sha256 of the payload save_corpus writes, so a corpus has one encoding and
@@ -356,6 +357,9 @@ def _corpus_from_file(path: Path, name: str) -> Corpus:
 def _doc_from_disk(payload: dict) -> Document:
     sentences = payload["sentences"]
     surfaces, lemmas = payload["surfaces"], payload["lemmas"]
+    # a str would pass the checks below as a list of its characters
+    if not type(surfaces) is type(lemmas) is type(payload["warnings"]) is list:
+        raise TypeError("surfaces, lemmas and warnings are not all lists")
     if not all(type(n) is int and n >= 0 for n in sentences):
         raise ValueError("sentence lengths are not all counts")
     bounds = list(accumulate(sentences, initial=0))

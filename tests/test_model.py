@@ -1,7 +1,7 @@
 import pytest
 
 from tmlwb.ingest import parse_document
-from tmlwb.model import IntervalRef, Link, INSTANCE, field_value, link_signal_text
+from tmlwb.model import IntervalRef, Link, INSTANCE, link_signal_text
 from tmlwb.point_algebra import tlink_to_assertions
 
 TABLE1_ROWS = [
@@ -22,30 +22,34 @@ def get_doc(corpus, name):
     return doc
 
 
+def fields(doc, pool, name):
+    """id -> value of one field over a tag pool, from the resolver's column."""
+    ids = {"event": doc.events, "instance": doc.instances, "timex3": doc.timexes}[pool]
+    return dict(zip(ids, doc.column(pool, name)))
+
+
 class TestResolveEventAttribute:
-    """An instance's event-sourced fields, through field_value."""
+    """An instance's event-sourced fields, through Document.column."""
 
     def test_shared_event_pos(self, corpus):
         doc = get_doc(corpus, "loop_eventid.tml")
-        assert {eiid: field_value(doc, inst, "pos")
-                for eiid, inst in doc.instances.items()} == {
-            "ei1": "VERB", "ei2": "VERB"}
+        assert fields(doc, "instance", "pos") == {"ei1": "VERB", "ei2": "VERB"}
 
     def test_event_sourced_text_shared(self, corpus):
         doc = get_doc(corpus, "loop_eventid.tml")
-        ei1, ei2 = doc.instances["ei1"], doc.instances["ei2"]
-        assert field_value(doc, ei1, "text") == field_value(doc, ei2, "text") == "flown"
+        text = fields(doc, "instance", "text")
+        assert text["ei1"] == text["ei2"] == "flown"
 
     def test_no_instances_empty_mapping(self, corpus):
         """A document without MAKEINSTANCE tags has no instance-sourced
         values: its TIMEX3s answer pos with None."""
         doc = get_doc(corpus, "all_relations.tml")
         assert doc.instances == {}
-        assert {field_value(doc, t, "pos") for t in doc.timexes.values()} == {None}
+        assert set(doc.column("timex3", "pos")) == {None}
 
     def test_dangling_event_yields_absent(self, corpus):
         doc = get_doc(corpus, "orphans.tml")
-        assert field_value(doc, doc.instances["ei9"], "text") is None
+        assert fields(doc, "instance", "text")["ei9"] is None
 
     def test_empty_values_are_absent(self, tmp_path):
         """An empty eventID or class is None, like every empty field."""
@@ -55,9 +59,9 @@ class TestResolveEventAttribute:
             '<MAKEINSTANCE eiid="ei1" eventID="e1"/>'
             '<MAKEINSTANCE eiid="ei2" eventID=""/>\n</TimeML>')
         doc = parse_document(path)
-        ei1, ei2 = doc.instances["ei1"], doc.instances["ei2"]
-        assert [field_value(doc, i, "eventid") for i in (ei1, ei2)] == ["e1", None]
-        assert [field_value(doc, i, "class") for i in (ei1, ei2)] == [None, None]
+        assert list(doc.instances) == ["ei1", "ei2"]
+        assert doc.column("instance", "eventid") == ("e1", None)
+        assert doc.column("instance", "class") == (None, None)
 
     def test_class_matched_regardless_of_case(self, tmp_path):
         path = tmp_path / "case.tml"
@@ -65,13 +69,14 @@ class TestResolveEventAttribute:
             '<TimeML><EVENT eid="e1" CLASS="STATE">slept</EVENT>\n'
             '<MAKEINSTANCE eiid="ei1" eventID="e1"/>\n</TimeML>')
         doc = parse_document(path)
-        assert field_value(doc, doc.instances["ei1"], "class") == "STATE"
+        assert fields(doc, "instance", "class")["ei1"] == "STATE"
 
     def test_total_over_instances(self, corpus):
         for doc in corpus.documents:
-            for inst in doc.instances.values():
-                for attribute in ("pos", "tense", "text", "class"):
-                    value = field_value(doc, inst, attribute)
+            for attribute in ("pos", "tense", "text", "class"):
+                column = doc.column("instance", attribute)
+                assert len(column) == len(doc.instances)
+                for value in column:
                     assert value is None or isinstance(value, str) and value
 
 
@@ -87,8 +92,8 @@ class TestAttributeCase:
             '<EVENT eid="e3" Class="" class="OCCURRENCE">ran</EVENT></TimeML>')
         doc = parse_document(path)
         e1, e2, e3 = (doc.events[eid] for eid in ("e1", "e2", "e3"))
-        assert [field_value(doc, e, "class") for e in (e1, e2, e3)] == [
-            "STATE", "OCCURRENCE", None]
+        assert fields(doc, "event", "class") == {
+            "e1": "STATE", "e2": "OCCURRENCE", "e3": None}
         assert e1.attrs == {"eid": "e1", "Class": "STATE", "class": "OCCURRENCE"}
         assert e1.attr_keys is e3.attr_keys
         assert e1.attr_keys is not e2.attr_keys

@@ -405,6 +405,10 @@ class TestFormatVersion2:
         lambda p: p["documents"][0].update(filename=None),
         lambda p: p["documents"][0].update(warnings=[5]),
         lambda p: p["documents"][0].update(warnings=7),
+        # a str as long as the token column, where a list belongs
+        lambda p: p["documents"][1].update(surfaces="a" * len(p["documents"][1]["surfaces"])),
+        lambda p: p["documents"][1].update(lemmas="a" * len(p["documents"][1]["lemmas"])),
+        lambda p: p["documents"][1].update(warnings="xy"),
     ])
     def test_corrupt_file_is_an_error_line(self, store, corpus, workspace, capsys,
                                            corrupt):
@@ -425,6 +429,10 @@ class TestFormatVersion2:
         (lambda p: p["documents"][1]["events"][0].__setitem__(0, 7),
          "(documents[1] 'consistent.tml', TypeError: "),
         (lambda p: p["documents"][2].update(filename=5), "(documents[2], TypeError: "),
+        (lambda p: p["documents"][1].update(surfaces="a" * len(p["documents"][1]["surfaces"])),
+         "(documents[1] 'consistent.tml', TypeError: "),
+        (lambda p: p["documents"][1].update(warnings="xy"),
+         "(documents[1] 'consistent.tml', TypeError: "),
         (lambda p: p["documents"].append(None), "(documents[8], TypeError: "),
         (lambda p: p.pop("note"), "(KeyError: 'note')"),
         (lambda p: p.update(documents=7), "(TypeError: "),
