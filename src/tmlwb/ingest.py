@@ -1,4 +1,8 @@
-"""TimeML XML parsing, relation folding and corpus import."""
+"""TimeML XML parsing, relation folding and corpus import.
+
+A file is parsed in one walk over its XML tree and one word scan over its
+text; an import lemmatizes each distinct surface once.
+"""
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
@@ -15,6 +19,8 @@ from .model import (
 )
 
 SPAN_TAGS = ("EVENT", "TIMEX3", "SIGNAL")
+# the elements parse_document reads
+PARSED_TAGS = frozenset(SPAN_TAGS + ("MAKEINSTANCE", "TLINK", "SLINK", "ALINK"))
 
 
 @dataclass(frozen=True)
@@ -109,13 +115,19 @@ def apply_fold(doc: Document, scheme: FoldScheme) -> Document:
     return replace(doc, links=links)
 
 
-def parse_document(path: Path | str, doc_id: int = 0) -> Document:
+def parse_document(path: Path | str, doc_id: int = 0,
+                   lemma_of: dict[str, str] | None = None) -> Document:
     """Parse one TimeML file into a Document.
 
     An unreadable file or malformed XML raises LoadError. Links with an
     unknown TLINK relType and tags with duplicate or missing ids are skipped
     with a warning recorded on the document; dangling id references also
     become warnings.
+
+    The XML tree is walked once and the text scanned for words once.
+    lemma_of maps each surface seen so far to its lemma, and gains the
+    surfaces of this document, so that a surface is lemmatized once however
+    many documents share the dict (import_corpus passes one per import).
     """
     path = Path(path)
     try:
@@ -126,43 +138,34 @@ def parse_document(path: Path | str, doc_id: int = 0) -> Document:
     # that expat cannot decode or that Python does not know
     except (ET.ParseError, ValueError, LookupError) as exc:
         raise LoadError(f"{path.name}: malformed XML ({exc})") from exc
-    root = tree.getroot()
-    text, spans = _collect_text(root)
+    text, tags = _walk(tree.getroot())
     doc = Document(doc_id, path.name)
-    starts, ends = _tokenize(doc, text)
+    starts, ends = _tokenize(doc, text, {} if lemma_of is None else lemma_of)
 
-    # tokens come in document order and do not overlap, so the tokens
-    # overlapping [start, end) (ts < end and te > start) are one range
-    bounds = {}
-    for elem, start, end in spans:
-        first, stop = bisect_right(ends, start), bisect_left(starts, end)
-        bounds[id(elem)] = (first, stop) if first < stop else (0, 0)
-
-    for elem in root.iter():
-        tag = elem.tag.upper()
-        attrs = dict(elem.attrib)
+    for tag, attrs, start, end in tags:
+        if tag in SPAN_TAGS:
+            # tokens come in document order and do not overlap, so the tokens
+            # overlapping [start, end) (ts < end and te > start) are one range
+            first, stop = bisect_right(ends, start), bisect_left(starts, end)
+            if first >= stop:
+                first = stop = 0
         if tag == "EVENT":
             eid = attrs.get("eid")
-            if not _check_id(doc, eid, doc.events, "EVENT", "eid"):
-                continue
-            doc.events[eid] = Event(eid, attrs, *bounds[id(elem)])
+            if _check_id(doc, eid, doc.events, "EVENT", "eid"):
+                doc.events[eid] = Event(eid, attrs, first, stop)
         elif tag == "TIMEX3":
             tid = attrs.get("tid")
-            if not _check_id(doc, tid, doc.timexes, "TIMEX3", "tid"):
-                continue
-            doc.timexes[tid] = Timex3(tid, attrs, *bounds[id(elem)])
+            if _check_id(doc, tid, doc.timexes, "TIMEX3", "tid"):
+                doc.timexes[tid] = Timex3(tid, attrs, first, stop)
         elif tag == "SIGNAL":
             sid = attrs.get("sid")
-            if not _check_id(doc, sid, doc.signals, "SIGNAL", "sid"):
-                continue
-            doc.signals[sid] = Signal(sid, *bounds[id(elem)])
+            if _check_id(doc, sid, doc.signals, "SIGNAL", "sid"):
+                doc.signals[sid] = Signal(sid, first, stop)
         elif tag == "MAKEINSTANCE":
             eiid = attrs.get("eiid")
-            if not _check_id(doc, eiid, doc.instances, "MAKEINSTANCE", "eiid"):
-                continue
-            event_id = attrs.get("eventID", "")
-            doc.instances[eiid] = EventInstance(eiid, event_id, attrs)
-        elif tag in ("TLINK", "SLINK", "ALINK"):
+            if _check_id(doc, eiid, doc.instances, "MAKEINSTANCE", "eiid"):
+                doc.instances[eiid] = EventInstance(eiid, attrs.get("eventID", ""), attrs)
+        else:
             link = _parse_link(doc, tag, attrs)
             if link is not None:
                 doc.links[link.lid] = link
@@ -171,50 +174,64 @@ def parse_document(path: Path | str, doc_id: int = 0) -> Document:
     return doc
 
 
-def _collect_text(root: ET.Element) -> tuple[str, list[tuple[ET.Element, int, int]]]:
-    """The document text, and the (element, start, end) character range of
-    every EVENT, TIMEX3 and SIGNAL in it.
+def _walk(root: ET.Element) -> tuple[str, list[list]]:
+    """The document text, and a [tag, attributes, start, end] record of every
+    element parse_document reads, in document order (preorder), with the
+    element's character range in the text.
 
     The walk keeps a running offset and an explicit stack, so it is linear
-    in the size of the document and survives any nesting depth.
+    in the size of the document and survives any nesting depth. The
+    attribute dicts are the tree's own; the tree is dropped after the parse.
     """
     chars: list[str] = []
-    spans: list[tuple[ET.Element, int, int]] = []
+    tags: list[list] = []
     offset = 0
-    stack = [(root, 0, iter(root))]
-    if root.text:
-        chars.append(root.text)
-        offset += len(root.text)
-    while stack:
-        elem, start, children = stack[-1]
-        child = next(children, None)
-        if child is not None:
-            stack.append((child, offset, iter(child)))
-            if child.text:
-                chars.append(child.text)
-                offset += len(child.text)
-            continue
-        stack.pop()
-        if elem.tag.upper() in SPAN_TAGS:
-            spans.append((elem, start, offset))
-        if elem.tail:  # None for the root
-            chars.append(elem.tail)
-            offset += len(elem.tail)
-    return "".join(chars), spans
+    stack = []  # (open element, its record, iterator over its children)
+    elem = root
+    while elem is not None:
+        tag = elem.tag.upper()
+        record = None
+        if tag in PARSED_TAGS:
+            record = [tag, elem.attrib, offset, offset]
+            tags.append(record)
+        if elem.text:
+            chars.append(elem.text)
+            offset += len(elem.text)
+        stack.append((elem, record, iter(elem)))
+        elem = None
+        # close finished elements until one has a child left to enter
+        while stack and elem is None:
+            parent, record, children = stack[-1]
+            elem = next(children, None)
+            if elem is None:
+                stack.pop()
+                if record is not None:
+                    record[3] = offset
+                if parent.tail:  # None for the root
+                    chars.append(parent.tail)
+                    offset += len(parent.tail)
+    return "".join(chars), tags
 
 
-def _tokenize(doc: Document, text: str) -> tuple[list[int], list[int]]:
+def _tokenize(doc: Document, text: str,
+              lemma_of: dict[str, str]) -> tuple[list[int], list[int]]:
     """Fill the token columns of doc from its text; returns the start and
-    end offset of each token."""
-    starts: list[int] = []
-    ends: list[int] = []
-    for s_start, s_end in tokenizer.sentence_spans(text):
-        for w_start, w_end in tokenizer.word_spans(text, s_start, s_end):
-            starts.append(w_start)
-            ends.append(w_end)
-        doc.sentence_bounds.append(len(starts))
-    doc.surfaces = [text[s:e] for s, e in zip(starts, ends)]
-    doc.lemmas = [tokenizer.lemmatize(surface) for surface in doc.surfaces]
+    end offset of each token.
+
+    One scan finds every word. A sentence cut always follows whitespace, so
+    no word crosses one, and each sentence ends before the first word that
+    starts at or after its end.
+    """
+    spans = tokenizer.word_spans(text, 0, len(text))
+    starts = [start for start, _ in spans]
+    ends = [end for _, end in spans]
+    doc.sentence_bounds.extend(bisect_left(starts, end)
+                               for _, end in tokenizer.sentence_spans(text))
+    doc.surfaces = surfaces = [text[start:end] for start, end in spans]
+    for surface in dict.fromkeys(surfaces):
+        if surface not in lemma_of:
+            lemma_of[surface] = tokenizer.lemmatize(surface)
+    doc.lemmas = [lemma_of[surface] for surface in surfaces]
     return starts, ends
 
 
@@ -289,16 +306,18 @@ def import_corpus(directory: Path | str, name: str,
 
     Documents are numbered from 1 in filename sort order. Unparseable files
     are skipped and recorded on corpus.skipped; a corpus with zero parseable
-    files is an error.
+    files is an error. Each distinct surface is lemmatized once per import,
+    and its documents share the lemma strings.
     """
     directory = Path(directory)
     if not directory.is_dir():
         raise LoadError(f"not a directory: {directory}")
     corpus = Corpus(name=name, note=f"fold={fold.name}")
+    lemma_of: dict[str, str] = {}
     doc_id = 0
     for path in sorted(p for p in directory.iterdir() if p.is_file()):
         try:
-            doc = parse_document(path, doc_id=doc_id + 1)
+            doc = parse_document(path, doc_id + 1, lemma_of)
         except LoadError as exc:
             corpus.skipped.append(str(exc))
             continue

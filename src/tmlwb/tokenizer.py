@@ -1,7 +1,10 @@
 """Sentence segmentation, whitespace tokenization and a small rule-based lemmatizer.
 
 Positions only need to be stable and monotone; no attempt is made at
-linguistically perfect segmentation.
+linguistically perfect segmentation. Every sentence cut follows whitespace,
+so no word crosses one: a caller may scan the words of a whole text once
+and cut them into sentences by offset. lemmatize depends on the surface
+alone, so a caller may keep the lemma of each surface it has seen.
 """
 from __future__ import annotations
 
@@ -59,5 +62,6 @@ def sentence_spans(text: str) -> list[tuple[int, int]]:
 
 
 def word_spans(text: str, start: int, end: int) -> list[tuple[int, int]]:
-    """Return (start, end) ranges of whitespace-delimited words inside a sentence."""
-    return [(m.start() + start, m.end() + start) for m in _WORD.finditer(text[start:end])]
+    """Return (start, end) ranges of the whitespace-delimited words in
+    text[start:end], as offsets into text."""
+    return [m.span() for m in _WORD.finditer(text, start, end)]

@@ -22,6 +22,12 @@ def workspace(tmp_path, monkeypatch):
     return home
 
 
+def assert_same_document(doc: Document, expected: Document) -> None:
+    """Every field equal, dict order and warning order included."""
+    assert doc == expected
+    assert repr(doc) == repr(expected)
+
+
 def make_doc(relations, doc_id=1, filename="synthetic.tml"):
     """Document with only TLINKs: relations is [(rel, a, b), ...] over
     interval id strings."""

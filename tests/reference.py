@@ -1,6 +1,12 @@
 """Independent references for the fast paths of tmlwb, which tests
 compare them against.
 
+- parse_document: the two-pass parser, a reference for
+  tmlwb.ingest.parse_document. It collects the text in one walk, then
+  scans the words of each sentence separately, lemmatizes every token
+  anew, and reads the tags in a second walk over the tree (root.iter()).
+  Only the id checks, the link parsing and the dangling-reference
+  warnings are shared with tmlwb.ingest.
 - run_query: the per-occurrence report algorithm, a reference for the
   one-pass reports of tmlwb.query. It builds one occurrence object per tag
   occurrence with a dict of the fields the query needs, reads XML
@@ -16,10 +22,15 @@ compare them against.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
+from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass
+from pathlib import Path
 
+from tmlwb import tokenizer
 from tmlwb.browse import _link_attrs, _lookup
+from tmlwb.errors import LoadError
+from tmlwb.ingest import SPAN_TAGS, _check_dangling, _check_id, _parse_link
 from tmlwb.model import (
     INSTANCE, INSTANCE_SOURCED, Document, Event, EventInstance, IntervalRef,
     Link, Signal, Timex3, position_string,
@@ -31,6 +42,101 @@ from tmlwb.query import (
     DistributionResult, Filter, ListResult, Query, ReportRow, StateGroup,
     StateResult,
 )
+
+
+def parse_document(path: Path | str, doc_id: int = 0) -> Document:
+    """The Document of tmlwb.ingest.parse_document, parsed in two passes."""
+    path = Path(path)
+    try:
+        tree = ET.parse(path)
+    except OSError as exc:
+        raise LoadError(f"{path.name}: cannot read ({exc.strerror})") from exc
+    except (ET.ParseError, ValueError, LookupError) as exc:
+        raise LoadError(f"{path.name}: malformed XML ({exc})") from exc
+    root = tree.getroot()
+    text, spans = _collect_text(root)
+    doc = Document(doc_id, path.name)
+    starts, ends = _tokenize(doc, text)
+
+    bounds = {}
+    for elem, start, end in spans:
+        first, stop = bisect_right(ends, start), bisect_left(starts, end)
+        bounds[id(elem)] = (first, stop) if first < stop else (0, 0)
+
+    for elem in root.iter():
+        tag = elem.tag.upper()
+        attrs = dict(elem.attrib)
+        if tag == "EVENT":
+            eid = attrs.get("eid")
+            if not _check_id(doc, eid, doc.events, "EVENT", "eid"):
+                continue
+            doc.events[eid] = Event(eid, attrs, *bounds[id(elem)])
+        elif tag == "TIMEX3":
+            tid = attrs.get("tid")
+            if not _check_id(doc, tid, doc.timexes, "TIMEX3", "tid"):
+                continue
+            doc.timexes[tid] = Timex3(tid, attrs, *bounds[id(elem)])
+        elif tag == "SIGNAL":
+            sid = attrs.get("sid")
+            if not _check_id(doc, sid, doc.signals, "SIGNAL", "sid"):
+                continue
+            doc.signals[sid] = Signal(sid, *bounds[id(elem)])
+        elif tag == "MAKEINSTANCE":
+            eiid = attrs.get("eiid")
+            if not _check_id(doc, eiid, doc.instances, "MAKEINSTANCE", "eiid"):
+                continue
+            event_id = attrs.get("eventID", "")
+            doc.instances[eiid] = EventInstance(eiid, event_id, attrs)
+        elif tag in ("TLINK", "SLINK", "ALINK"):
+            link = _parse_link(doc, tag, attrs)
+            if link is not None:
+                doc.links[link.lid] = link
+
+    _check_dangling(doc)
+    return doc
+
+
+def _collect_text(root: ET.Element) -> tuple[str, list[tuple[ET.Element, int, int]]]:
+    """The document text, and the (element, start, end) character range of
+    every EVENT, TIMEX3 and SIGNAL in it."""
+    chars: list[str] = []
+    spans: list[tuple[ET.Element, int, int]] = []
+    offset = 0
+    stack = [(root, 0, iter(root))]
+    if root.text:
+        chars.append(root.text)
+        offset += len(root.text)
+    while stack:
+        elem, start, children = stack[-1]
+        child = next(children, None)
+        if child is not None:
+            stack.append((child, offset, iter(child)))
+            if child.text:
+                chars.append(child.text)
+                offset += len(child.text)
+            continue
+        stack.pop()
+        if elem.tag.upper() in SPAN_TAGS:
+            spans.append((elem, start, offset))
+        if elem.tail:
+            chars.append(elem.tail)
+            offset += len(elem.tail)
+    return "".join(chars), spans
+
+
+def _tokenize(doc: Document, text: str) -> tuple[list[int], list[int]]:
+    """Fill the token columns of doc sentence by sentence, lemmatizing every
+    token; returns the start and end offset of each token."""
+    starts: list[int] = []
+    ends: list[int] = []
+    for s_start, s_end in tokenizer.sentence_spans(text):
+        for w_start, w_end in tokenizer.word_spans(text, s_start, s_end):
+            starts.append(w_start)
+            ends.append(w_end)
+        doc.sentence_bounds.append(len(starts))
+    doc.surfaces = [text[s:e] for s, e in zip(starts, ends)]
+    doc.lemmas = [tokenizer.lemmatize(surface) for surface in doc.surfaces]
+    return starts, ends
 
 
 def _attr(attrs: dict[str, str], name: str) -> str | None:

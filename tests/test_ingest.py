@@ -1,6 +1,8 @@
 import itertools
 import random
 import xml.etree.ElementTree as ET
+from collections import Counter
+from xml.sax.saxutils import escape
 
 import pytest
 
@@ -13,7 +15,8 @@ from tmlwb.ingest import (
 from tmlwb.model import INSTANCE, TIMEX
 from tmlwb.point_algebra import tlink_to_assertions
 
-from conftest import FIXTURE_DIR
+import reference
+from conftest import FIXTURE_DIR, assert_same_document
 from reference import fold_lossless
 
 
@@ -179,6 +182,7 @@ def random_timeml(rng: random.Random, max_depth=4) -> str:
 class TestSpanTokensMatchReference:
     def check(self, path):
         doc = parse_document(path)
+        assert_same_document(doc, reference.parse_document(path))
         text, offsets, positions, span_of, expected = naive_span_tokens(path)
         surfaces = [text[s:e] for s, e in offsets]
         assert doc.surfaces == surfaces
@@ -217,6 +221,100 @@ class TestSpanTokensMatchReference:
                                       for s, e in ranges)
                 seen["adjacent"] += any(s < e == start for s, e in ranges)
         assert all(seen.values()), seen
+
+
+_OPENERS = ["", "", "", '"', "'", "(", "["]
+_STEMS = ["the", "talks", "Talks", "ended", "U.S.", "3", "1998", "said:", "it's",
+          "e.g.", "\u00e9t\u00e9", "RUNNING", "boxes"]
+_CLOSERS = ["", "", "", ".", "?", "!", "...", '."', ".'", ".)", ".]", '?")', "!'"]
+# spaces and tabs, CRLF, blank and whitespace-only lines, NBSP, the Unicode
+# line and paragraph separators, NEL and the ideographic space
+_SPACES = ["", " ", "  ", "\t", " \t ", "\n", "\r\n", "\n\n", "\r\n\r\n",
+           "\n \n", "\n\t\n", " \n  \n ", "\r\n \t\r\n", "\u00a0", " \u00a0 ",
+           "\u2028", "\u2029", "\u3000", "\x85"]
+
+
+def random_text(rng: random.Random) -> str:
+    """Words, terminators followed by quotes or brackets and then capitals,
+    digits or lowercase, and odd whitespace; some texts are empty or
+    whitespace only."""
+    if rng.random() < 0.1:
+        return "".join(rng.choice(_SPACES) for _ in range(rng.randint(0, 3)))
+    parts = [rng.choice(_SPACES)]
+    for _ in range(rng.randint(1, 25)):
+        parts += [rng.choice(_OPENERS), rng.choice(_STEMS), rng.choice(_CLOSERS),
+                  rng.choice(_SPACES)]
+    return "".join(parts)
+
+
+class TestOneScanTokenization:
+    """The one word scan of parse_document gives the tokens and sentence
+    bounds of a scan per sentence."""
+
+    def test_random_texts(self, tmp_path):
+        seen = Counter()
+        for seed in range(400):
+            text = random_text(random.Random(seed))
+            path = tmp_path / f"t{seed}.tml"
+            # a character reference keeps a CR from being read as a line end
+            path.write_text(f"<TimeML>{escape(text, {chr(13): '&#13;'})}</TimeML>",
+                            encoding="utf-8")
+            doc = parse_document(path)
+            expected = reference.parse_document(path)
+            naive_text, offsets, positions, _, _ = naive_span_tokens(path)
+            assert naive_text == text
+            surfaces = [text[s:e] for s, e in offsets]
+            sentence_lengths = Counter(sentence for sentence, _ in positions)
+            bounds = list(itertools.accumulate(
+                (sentence_lengths[k] for k in range(len(sentence_lengths))), initial=0))
+            assert doc.surfaces == expected.surfaces == surfaces
+            assert doc.lemmas == expected.lemmas == [tokenizer.lemmatize(s) for s in surfaces]
+            assert doc.sentence_bounds == expected.sentence_bounds == bounds
+            seen["empty or blank"] += not text.strip()
+            seen["several sentences"] += len(bounds) > 2
+            seen.update(name for name, marker in (
+                ("CRLF", "\r\n"), ("tab", "\t"), ("blank line", "\n\n"),
+                ("whitespace-only line", "\n \n"), ("NBSP", "\u00a0"),
+                ("line separator", "\u2028"), ("quote after terminator", '."'),
+                ("bracket after terminator", ".)")) if marker in text)
+        assert len(seen) == 10 and all(n >= 5 for n in seen.values()), seen
+
+
+class TestLemmaMemo:
+    def counted_lemmatize(self, monkeypatch) -> Counter:
+        calls = Counter()
+        lemmatize = tokenizer.lemmatize
+
+        def counted(surface):
+            calls[surface] += 1
+            return lemmatize(surface)
+
+        monkeypatch.setattr(tokenizer, "lemmatize", counted)
+        return calls
+
+    def test_once_per_distinct_surface_per_import(self, monkeypatch):
+        calls = self.counted_lemmatize(monkeypatch)
+        corpus = import_corpus(FIXTURE_DIR, "memo")
+        surfaces = [s for doc in corpus.documents for s in doc.surfaces]
+        assert len(surfaces) > len(set(surfaces))  # some surface repeats
+        assert calls == Counter(set(surfaces))
+        # no lemma outlives its import
+        import_corpus(FIXTURE_DIR, "again")
+        assert calls == Counter({surface: 2 for surface in surfaces})
+
+    def test_lone_parses_share_no_lemmas(self, monkeypatch):
+        calls = self.counted_lemmatize(monkeypatch)
+        path = FIXTURE_DIR / "consistent.tml"
+        surfaces = parse_document(path).surfaces
+        parse_document(path)
+        assert calls == Counter({surface: 2 for surface in surfaces})
+
+    def test_import_equals_lone_parses(self):
+        corpus = import_corpus(FIXTURE_DIR, "memo")
+        paths = sorted(FIXTURE_DIR.iterdir())
+        assert len(corpus.documents) == len(paths)
+        for doc_id, (doc, path) in enumerate(zip(corpus.documents, paths), start=1):
+            assert_same_document(doc, parse_document(path, doc_id))
 
 
 class TestApplyFold:
