@@ -4,9 +4,15 @@ Intervals are split into start/end points and every TLINK becomes one or two
 assertions over those points, using only `<` (before) and `=` (simultaneous).
 Following the point algebra of Vilain & Kautz (AAAI 1986), the assertions are
 consistent iff, once union-find has merged the `=` classes, the `<` edges
-between classes form no cycle. An inconsistency is reported with the TLINKs
-whose assertions make up the cycle. The paper's agenda/database closure
-lives in tests/reference.py, as the independent reference for tests.
+between classes form no cycle.
+
+The check runs in two stages. The verdict numbers each document's points as
+ints and decides in one pass: union-find over the `=` pairs, then Kahn's
+in-degree pass over the `<` edges between classes. Only an inconsistent
+document goes on to the explanation, which builds the assertions over named
+points, lets graphlib find a cycle and reports the TLINKs whose assertions
+make it up. The paper's agenda/database closure lives in tests/reference.py,
+as the independent reference the tests check the verdict against.
 
 Assertions are plain tuples ``(rel, left, right)`` where rel is "<" or "=",
 and points are ``(interval_id, 1)`` for the start and ``(interval_id, 2)``
@@ -18,6 +24,7 @@ from __future__ import annotations
 import graphlib
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import TypeVar
 
 from .model import Document, Link
@@ -104,7 +111,7 @@ def document_assertions(doc: Document) -> tuple[set[Assertion], list[Assertion]]
 class ConsistencyResult:
     consistent: bool
     conflict: Assertion | None  # the `<` assertion that closes the cycle
-    processed: int  # assertions examined
+    processed: int  # distinct assertions: interval axioms and TLINK ones
     lids: tuple[str, ...] = ()  # witness TLINKs, in document order
 
     @property
@@ -126,13 +133,83 @@ def find(parent: dict[T, T], p: T) -> T:
     return p
 
 
+# TLINK_POINT_MAP over integer points: (is `<`, arg of the left point,
+# its offset, arg of the right point, its offset), where arg 0 is arg1 and
+# arg 1 is arg2, and an interval numbered i has its start at 2i and its end
+# at 2i + 1.
+_INT_TEMPLATES = {
+    rel: tuple((r == "<", la == _B, lp - START, ra == _B, rp - START)
+               for r, (la, lp), (ra, rp) in templates)
+    for rel, templates in TLINK_POINT_MAP.items()}
+
+
+def verdict(doc: Document) -> tuple[bool, int]:
+    """(consistent, number of distinct assertions) of a document, decided
+    in one pass over integer points.
+
+    The intervals are numbered as they first occur. The `=` classes are
+    merged with find, then Kahn's in-degree pass runs over the `<` edges
+    between class roots, so a `<` inside one class is a self-loop that
+    fails it. The count is len(axioms) + len(agenda) of
+    document_assertions.
+    """
+    number: dict[str, int] = {}
+    lts: set[tuple[int, int]] = set()
+    eqs: set[tuple[int, int]] = set()
+    for link in doc.tlinks:
+        ab = (2 * number.setdefault(link.arg1.ref_id, len(number)),
+              2 * number.setdefault(link.arg2.ref_id, len(number)))
+        for lt, la, lo, ra, ro in _INT_TEMPLATES[link.rel_type]:
+            x, y = ab[la] + lo, ab[ra] + ro
+            if lt:
+                lts.add((x, y))
+            else:
+                eqs.add((x, y) if x <= y else (y, x))
+    processed = len(number) + len(lts) + len(eqs)
+    points = 2 * len(number)
+    parent: dict[int, int] = {}
+    for x, y in eqs:
+        parent[find(parent, x)] = find(parent, y)
+    root = list(range(points))
+    for p in parent:
+        root[p] = find(parent, p)
+    succ: list[list[int]] = [[] for _ in range(points)]
+    indegree = [0] * points
+    axioms = zip(range(0, points, 2), range(1, points, 2))
+    for x, y in chain(axioms, lts):
+        succ[root[x]].append(root[y])
+        indegree[root[y]] += 1
+    # a point that is no root has no edges, so it leaves at once; a root
+    # with a `<` to itself never does
+    ready = [p for p in range(points) if not indegree[p]]
+    left = points
+    while ready:
+        left -= 1
+        for q in succ[ready.pop()]:
+            indegree[q] -= 1
+            if not indegree[q]:
+                ready.append(q)
+    return not left, processed
+
+
 def check_consistency(doc: Document) -> ConsistencyResult:
-    """Merge the `=` classes, then look for a cycle of `<` between them.
+    """Decide with verdict(); only an inconsistent document goes on to
+    explain(), which names the clash."""
+    consistent, processed = verdict(doc)
+    if consistent:
+        return ConsistencyResult(True, None, processed)
+    return explain(doc)
+
+
+def explain(doc: Document) -> ConsistencyResult:
+    """The result of check_consistency from assertions over named points,
+    with the cycle of `<` that graphlib finds and the TLINKs behind it.
 
     A `<` inside one class is a self-loop, so the cycle search finds it too.
-    Each assertion is examined once. The reported conflict is the cycle's
-    `<` assertion that comes last (interval axioms first, then TLINKs in
-    document order), so the assertions before it rule it out.
+    The reported conflict is the cycle's `<` assertion that comes last
+    (interval axioms first, then TLINKs in document order), so the
+    assertions before it rule it out. A document with no cycle gets the
+    consistent result.
     """
     axioms, initial = document_assertions(doc)
     # sorted, and dicts rather than sets below, so that the cycle found and

@@ -14,7 +14,7 @@ compare them against.
   filters and groups in separate passes. Only the result classes are
   shared with tmlwb.query, so that format_report renders both alike.
 - oracle_consistency: the paper's agenda/database closure, a reference for
-  tmlwb.point_algebra.check_consistency.
+  the verdict of tmlwb.point_algebra.check_consistency.
 - fragment_normal_form and tag_normal_form: the comparison of a serialized
   TimeML fragment with the tag it was made from.
 - fold_lossless: whether a fold table preserves point semantics.
