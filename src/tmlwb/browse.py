@@ -3,7 +3,6 @@ and TLINK-in-context views."""
 from __future__ import annotations
 
 import difflib
-from xml.sax.saxutils import escape, quoteattr
 
 from .errors import CommandError
 from .model import (
@@ -71,14 +70,32 @@ def _ordered_attrs(obj) -> list[tuple[str, str]]:
                     key=lambda kv: kv[0].lower())]
 
 
+# the escapes of xml.sax.saxutils.escape and quoteattr, which would import
+# urllib.request and with it the network modules into every tmlwb process
+_TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+_ATTR_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;",
+                               "\n": "&#10;", "\r": "&#13;", "\t": "&#9;"})
+
+
+def _quoteattr(value: str) -> str:
+    """An attribute value escaped and quoted, in single quotes if it holds
+    a double quote and no single quote."""
+    value = value.translate(_ATTR_ESCAPES)
+    if '"' not in value:
+        return f'"{value}"'
+    if "'" not in value:
+        return f"'{value}'"
+    return '"' + value.replace('"', "&quot;") + '"'
+
+
 def serialize_tag(doc: Document, tag: str, tag_id: str) -> str:
     """Render one tag as a well-formed TimeML fragment."""
     obj = _lookup(doc, tag, tag_id)
     element = obj.kind if isinstance(obj, Link) else _ELEMENTS[type(obj)]
-    attrs = " ".join(f"{k}={quoteattr(v)}" for k, v in _ordered_attrs(obj))
+    attrs = " ".join(f"{k}={_quoteattr(v)}" for k, v in _ordered_attrs(obj))
     if isinstance(obj, (EventInstance, Link)):
         return f"<{element} {attrs}/>"
-    return f"<{element} {attrs}>{escape(doc.text(obj))}</{element}>"
+    return f"<{element} {attrs}>{doc.text(obj).translate(_TEXT_ESCAPES)}</{element}>"
 
 
 def _link_attrs(link: Link) -> dict[str, str]:

@@ -163,10 +163,10 @@ def check_orphans(doc: Document) -> list[CheckFinding]:
         if link.signal_id:
             used_signals.add(link.signal_id)
     instantiated: set[str] = set()
-    for inst in doc.instances.values():
+    for inst, signal_id in zip(doc.instances.values(),
+                               doc.column("instance", "signalid")):
         if inst.event_id:
             instantiated.add(inst.event_id)
-        signal_id = inst.attrs.get("signalID")
         if signal_id:
             used_signals.add(signal_id)
 

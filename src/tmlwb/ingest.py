@@ -19,8 +19,9 @@ from .model import (
 )
 
 SPAN_TAGS = ("EVENT", "TIMEX3", "SIGNAL")
-# the elements parse_document reads
+# the elements parse_document reads, and those whose attributes it keeps
 PARSED_TAGS = frozenset(SPAN_TAGS + ("MAKEINSTANCE", "TLINK", "SLINK", "ALINK"))
+SHAPED_TAGS = frozenset(("EVENT", "TIMEX3", "MAKEINSTANCE"))
 
 
 @dataclass(frozen=True)
@@ -141,6 +142,7 @@ def parse_document(path: Path | str, doc_id: int = 0,
     text, tags = _walk(tree.getroot())
     doc = Document(doc_id, path.name)
     starts, ends = _tokenize(doc, text, {} if lemma_of is None else lemma_of)
+    shapes: dict[tuple[str, ...], tuple[str, ...]] = {}  # one keys tuple per shape
 
     for tag, attrs, start, end in tags:
         if tag in SPAN_TAGS:
@@ -149,14 +151,17 @@ def parse_document(path: Path | str, doc_id: int = 0,
             first, stop = bisect_right(ends, start), bisect_left(starts, end)
             if first >= stop:
                 first = stop = 0
+        if tag in SHAPED_TAGS:
+            keys = tuple(attrs)
+            keys = shapes.setdefault(keys, keys)
         if tag == "EVENT":
             eid = attrs.get("eid")
             if _check_id(doc, eid, doc.events, "EVENT", "eid"):
-                doc.events[eid] = Event(eid, attrs, first, stop)
+                doc.events[eid] = Event(eid, keys, list(attrs.values()), first, stop)
         elif tag == "TIMEX3":
             tid = attrs.get("tid")
             if _check_id(doc, tid, doc.timexes, "TIMEX3", "tid"):
-                doc.timexes[tid] = Timex3(tid, attrs, first, stop)
+                doc.timexes[tid] = Timex3(tid, keys, list(attrs.values()), first, stop)
         elif tag == "SIGNAL":
             sid = attrs.get("sid")
             if _check_id(doc, sid, doc.signals, "SIGNAL", "sid"):
@@ -164,7 +169,8 @@ def parse_document(path: Path | str, doc_id: int = 0,
         elif tag == "MAKEINSTANCE":
             eiid = attrs.get("eiid")
             if _check_id(doc, eiid, doc.instances, "MAKEINSTANCE", "eiid"):
-                doc.instances[eiid] = EventInstance(eiid, attrs.get("eventID", ""), attrs)
+                doc.instances[eiid] = EventInstance(eiid, attrs.get("eventID", ""),
+                                                    keys, list(attrs.values()))
         else:
             link = _parse_link(doc, tag, attrs)
             if link is not None:
@@ -293,8 +299,8 @@ def _check_dangling(doc: Document) -> None:
             if ref.ref_id not in pool:
                 doc.warnings.append(
                     f"{link.kind} {link.lid} references missing {ref.kind} {ref.ref_id}")
-    for inst in doc.instances.values():
-        signal_id = inst.attrs.get("signalID")
+    for inst, signal_id in zip(doc.instances.values(),
+                               doc.column("instance", "signalid")):
         if signal_id and signal_id not in doc.signals:
             doc.warnings.append(
                 f"MAKEINSTANCE {inst.eiid} references missing signal {signal_id}")

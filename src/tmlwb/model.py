@@ -5,9 +5,13 @@ the store writes them: every surface, every lemma, and the sentence bounds
 (the token index at which each sentence starts, then the token count). An
 EVENT, TIMEX3 or SIGNAL names its tokens as one range [first, end) of those
 columns, (0, 0) when it has none, and the document answers a span's text
-and position. Tag objects keep the raw XML attribute dictionary so that
-re-serialization loses nothing; typed accessors cover the attributes the
-rest of the workbench needs. Everything is treated as immutable after load.
+and position. An EVENT, MAKEINSTANCE or TIMEX3 keeps its raw XML
+attributes as two sequences, as the store writes them: keys, the attribute
+names in tag order (a "shape"), and values, the value of each name. Tags of
+one shape share one keys tuple, so a parse or a load builds no attribute
+dict and runs no set-up per tag, and re-serialization loses nothing; attrs
+builds the attribute dict on demand. Everything is treated as immutable
+after load.
 
 Reports read fields through one resolver, Document.column: one field of
 every occurrence in a pool (a tag's, or a link kind's), in pool order, or
@@ -46,40 +50,38 @@ class IntervalRef:
     ref_id: str
 
 
-@cache
-def _key_map(names: tuple[str, ...]) -> dict[str, str]:
-    """Lowercase name -> the first of names with that lowercase form; one map
-    per distinct tuple of attribute names, shared by every tag that has it."""
-    return {name.lower(): name for name in reversed(names)}
+class _Tagged:
+    """The attributes of a tag kept as keys and values (see the module
+    docstring)."""
+    __slots__ = ()
+
+    @property
+    def attrs(self) -> dict[str, str]:
+        return dict(zip(self.keys, self.values))
 
 
-class Attributed:
-    """A tag whose raw XML attributes are read without regard to case, through
-    attr_keys (see _attr_column)."""
-
-    def __post_init__(self):
-        self.attr_keys = _key_map(tuple(self.attrs))
-
-
-@dataclass
-class Event(Attributed):
+@dataclass(slots=True)
+class Event(_Tagged):
     eid: str
-    attrs: dict[str, str]
+    keys: tuple[str, ...]
+    values: list[str]
     first: int
     end: int
 
 
-@dataclass
-class EventInstance(Attributed):
+@dataclass(slots=True)
+class EventInstance(_Tagged):
     eiid: str
     event_id: str
-    attrs: dict[str, str]
+    keys: tuple[str, ...]
+    values: list[str]
 
 
-@dataclass
-class Timex3(Attributed):
+@dataclass(slots=True)
+class Timex3(_Tagged):
     tid: str
-    attrs: dict[str, str]
+    keys: tuple[str, ...]
+    values: list[str]
     first: int
     end: int
 
@@ -256,11 +258,34 @@ def _build_column(doc: Document, pool: str, name: str | None) -> list:
     return _attr_column(spans, name)
 
 
+@cache
+def _key_index(keys: tuple[str, ...], name: str) -> int | None:
+    """The index of the first of keys whose lowercase form is name; looked
+    up once per shape and name, for every tag of that shape."""
+    for index, key in enumerate(keys):
+        if key.lower() == name:
+            return index
+    return None
+
+
 def _attr_column(tags, name: str) -> list[str | None]:
     """The XML attribute whose lowercase name is name, of each tag (which may
-    be None); None when absent or empty."""
-    return [None if tag is None or (key := tag.attr_keys.get(name)) is None
-            else tag.attrs[key] or None for tag in tags]
+    be None); None when absent or empty. Of two names that differ only in
+    case, the first in the tag wins. Tags of one shape share its keys and
+    mostly come in runs, so the index of name is looked up when the shape
+    changes, not for every tag."""
+    column = []
+    append = column.append
+    shape = index = None
+    for tag in tags:
+        if tag is None:
+            append(None)
+            continue
+        if tag.keys is not shape:
+            shape = tag.keys
+            index = _key_index(shape, name)
+        append(None if index is None else tag.values[index] or None)
+    return column
 
 
 def interval_span(doc: Document, ref: IntervalRef) -> Event | Timex3 | None:

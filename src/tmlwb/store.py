@@ -4,47 +4,62 @@ Layout under the workspace root (default ~/.tml-workbench, override with
 the TMLWB_HOME environment variable):
 
     catalog.json            corpus catalog + active corpus name
+    .lock                   the write lock
     corpora/<name>/corpus.json
 
 The on-disk format is private to the tool; only the save/load round trip is
-contracted. Writes take an exclusive lock file; reads do not.
+contracted. A write (import, use, delete) holds an exclusive flock on .lock
+and writes its pid and start time into it; reads take no lock. The kernel
+drops the lock when its holder exits or dies, so a crashed writer leaves a
+file that blocks no one, and the file is never removed: removing a locked
+file would let a second writer lock a new one. Where the fcntl module is
+missing (Windows), every write is refused.
 
-corpus.json is store format version 2, one JSON object:
+corpus.json is store format version 3, one JSON object:
 
-    {"version": 2, "name", "note", "documents": [{
+    {"version": 3, "name", "note", "documents": [{
         "doc_id", "filename", "warnings",
         "sentences": [token count of each sentence],
-        "surfaces": [...], "lemmas": [...],        # one entry per token
-        "events": [[eid, attrs, first, end]],
-        "instances": [[eiid, event_id, attrs]],
-        "timexes": [[tid, attrs, first, end]],
+        "surfaces": "...", "lemmas": "...",        # the tokens, space-joined
+        "shapes": [[attribute name, ...]],
+        "events": [[eid, shape, values, first, end]],
+        "instances": [[eiid, event_id, shape, values]],
+        "timexes": [[tid, shape, values, first, end]],
         "signals": [[sid, first, end]],
         "links": [[lid, kind, rel_type, arg1_kind, arg1_id,
                    arg2_kind, arg2_id, signal_id, origin]]}]}
 
 These are the columns of the in-memory Document (see tmlwb.model), which
 keeps the running sums of the sentence lengths instead of the lengths. A
-save writes the columns and span bounds as they are, and a load builds no
-object per token. Records are written in sorted-id order and with sorted
-attribute names, so a loaded corpus iterates every dict in sorted key
-order. A file of any other version, or with no "version" (as tmlwb wrote
-before versions existed), is a StoreError that tells the user to delete the
-corpus and import it again. A load refuses a record of the wrong type
-(a doc_id that is not an int, an id or a reference to one that is not a
-str, attributes that are not a dict of str, a TLINK relation type outside
-TLINK_RELATIONS, surfaces, lemmas or warnings that are not a list, a
-filename, token or warning that is not a str) as not a
-tmlwb corpus, so no command fails on it later, and the refusal names the
-index and filename of the failing document record. corpus_fingerprint is the
-sha256 of the payload save_corpus writes, so a corpus has one encoding and
-its fingerprint is the hash of its stored corpus.json.
+shape is the attribute names of a tag in tag order, listed once per
+document however many tags have it; an EVENT, MAKEINSTANCE or TIMEX3
+record names its shape by index and holds the value of each of its names.
+Tokens are runs of non-whitespace, so a token column is one string that
+split(" ") cuts back into its tokens. A save writes the columns, keys,
+values and span bounds as they are, and a load builds no object per token
+and no dict per tag. Records are written in sorted-id order, so a loaded
+corpus iterates every tag dict in sorted key order, and shapes are numbered
+in order of first use. A file of any other version, or with no "version"
+(as tmlwb wrote before versions existed), is a StoreError that tells the
+user to delete the corpus and import it again. A load refuses a record of
+the wrong type (a doc_id that is not an int, an id or a reference to one
+that is not a str, a shape index that is not an int or names no shape, a
+value row that is not a list of str as long as its shape, a shape name that
+is not a str, a TLINK relation type outside TLINK_RELATIONS, surfaces or
+lemmas that are not a str, a token count other than the sum of the
+sentence lengths, warnings that are not a list, a filename or warning that
+is not a str) as not a tmlwb corpus, so no command fails on it later, and
+the refusal names the index and filename of the failing document record.
+corpus_fingerprint is the sha256 of the payload save_corpus writes, so a
+corpus has one encoding and its fingerprint is the hash of its stored
+corpus.json.
 
-A load builds an object for every tag, link and attribute. The cyclic
-garbage collector would rescan the partly built corpus many times over, at
-a cost that grows with the live heap, so load_corpus builds with the
-collector paused and then freezes the result (gc.freeze), which keeps it
-out of every later collection. The model has no reference cycles, so
-reference counting alone frees a replaced corpus, frozen or not.
+A load builds an object for every tag and link. The cyclic garbage
+collector would rescan the partly built corpus many times over, at a cost
+that grows with the live heap, so load_corpus builds with the collector
+paused and then freezes the result (gc.freeze), which keeps it out of
+every later collection. The model has no reference cycles, so reference
+counting alone frees a replaced corpus, frozen or not.
 """
 from __future__ import annotations
 
@@ -61,6 +76,11 @@ from itertools import accumulate, chain
 from operator import itemgetter
 from pathlib import Path
 
+try:
+    import fcntl
+except ImportError:  # not a POSIX platform: writes are refused
+    fcntl = None
+
 from .errors import StoreError
 from .model import (
     Corpus, Document, Event, EventInstance, IntervalRef, Link, Signal, Timex3,
@@ -70,7 +90,7 @@ from .model import (
 ENV_HOME = "TMLWB_HOME"
 DEFAULT_HOME = "~/.tml-workbench"
 _ENTRY_KEYS = {"documents", "note", "imported"}
-STORE_VERSION = 2
+STORE_VERSION = 3
 
 
 def check_corpus_name(name: str) -> None:
@@ -111,25 +131,26 @@ class Store:
 
     @contextmanager
     def _write_lock(self):
+        if fcntl is None:
+            raise StoreError(f"cannot write {self.root}: this platform has no "
+                             "fcntl file locks, so tmlwb can only read corpora")
         with _writing(self.root):
             self.root.mkdir(parents=True, exist_ok=True)
         lock = self.root / ".lock"
         with _writing(lock):
-            try:
-                fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                raise StoreError(f"workspace {self.root} is locked by another "
-                                 f"writer{_lock_owner(lock)}") from None
-            try:
-                with os.fdopen(fd, "w", encoding="ascii") as owner:
-                    owner.write(f"{os.getpid()} {_now()}")
-            except OSError:
-                lock.unlink(missing_ok=True)
-                raise
+            fd = os.open(lock, os.O_RDWR | os.O_CREAT, 0o644)
         try:
+            with _writing(lock):
+                try:
+                    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                except BlockingIOError:
+                    raise StoreError(f"workspace {self.root} is locked by another "
+                                     f"writer{_lock_owner(lock)}") from None
+                os.ftruncate(fd, 0)
+                os.write(fd, f"{os.getpid()} {_now()}".encode("ascii"))
             yield
         finally:
-            lock.unlink(missing_ok=True)
+            os.close(fd)  # which releases the lock
 
     # -- catalog ---------------------------------------------------------
     def _read_catalog_raw(self) -> dict:
@@ -283,9 +304,9 @@ def _lock_owner(lock: Path) -> str:
 
 # -- serialization -------------------------------------------------------
 
-def _read_json(path: Path):
+def _read_json(path: Path, object_hook=None):
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"), object_hook=object_hook)
     except OSError as exc:
         raise StoreError(f"cannot read {path}: {exc.strerror}") from None
     except ValueError as exc:  # undecodable bytes or malformed JSON
@@ -293,7 +314,7 @@ def _read_json(path: Path):
 
 
 def _corpus_payload(corpus: Corpus) -> str:
-    """The corpus.json text of a corpus: its version-2 dict (see the module
+    """The corpus.json text of a corpus: its format-3 dict (see the module
     docstring) as compact JSON with sorted keys."""
     return json.dumps({
         "version": STORE_VERSION,
@@ -304,21 +325,27 @@ def _corpus_payload(corpus: Corpus) -> str:
 
 
 def _doc_to_disk(doc: Document) -> dict:
-    """The version-2 dict of a document."""
+    """The format-3 dict of a document."""
     bounds = doc.sentence_bounds
+    shapes: dict[tuple[str, ...], int] = {}  # shape -> its index, by first use
+
+    def shape(tag) -> int:
+        return shapes.setdefault(tag.keys, len(shapes))
+
     return {
         "doc_id": doc.doc_id,
         "filename": doc.filename,
         "warnings": doc.warnings,
         "sentences": [end - start for start, end in zip(bounds, bounds[1:])],
-        "surfaces": doc.surfaces,
-        "lemmas": doc.lemmas,
-        "events": [[eid, e.attrs, e.first, e.end]
+        "surfaces": " ".join(doc.surfaces),
+        "lemmas": " ".join(doc.lemmas),
+        "events": [[eid, shape(e), e.values, e.first, e.end]
                    for eid, e in sorted(doc.events.items())],
-        "instances": [[eiid, i.event_id, i.attrs]
+        "instances": [[eiid, i.event_id, shape(i), i.values]
                       for eiid, i in sorted(doc.instances.items())],
-        "timexes": [[tid, t.attrs, t.first, t.end]
+        "timexes": [[tid, shape(t), t.values, t.first, t.end]
                     for tid, t in sorted(doc.timexes.items())],
+        "shapes": list(shapes),  # after the three lists above have filled it
         "signals": [[sid, s.first, s.end]
                     for sid, s in sorted(doc.signals.items())],
         "links": [[lid, l.kind, l.rel_type, l.arg1.kind, l.arg1.ref_id,
@@ -327,9 +354,29 @@ def _doc_to_disk(doc: Document) -> dict:
     }
 
 
+def _split_token_columns(record: dict) -> dict:
+    """The object_hook of a corpus.json load: split the token columns of a
+    document record as soon as it is decoded, and wrap each in a 1-tuple,
+    which no JSON value decodes to, so that _doc_from_disk can tell a
+    column that was a str.
+
+    Split in decoding order, a document's token strings are made next to
+    its tag strings. Split after the whole file is decoded, the strings of
+    each load fill the holes of the corpus that the previous load replaced,
+    and a scan over the tags of the third corpus loaded in one process took
+    twice as long.
+    """
+    for column in ("surfaces", "lemmas"):
+        tokens = record.get(column)
+        if type(tokens) is str:
+            # no token holds a space, and a document may have none
+            record[column] = (tokens.split(" ") if tokens else [],)
+    return record
+
+
 def _corpus_from_file(path: Path, name: str) -> Corpus:
-    """Load a corpus.json of store format version 2."""
-    payload = _read_json(path)
+    """Load a corpus.json of store format version 3."""
+    payload = _read_json(path, _split_token_columns)
     # a JSON value that is not an object fails below as not a tmlwb corpus
     if isinstance(payload, dict) and payload.get("version") != STORE_VERSION:
         raise StoreError(
@@ -357,9 +404,12 @@ def _corpus_from_file(path: Path, name: str) -> Corpus:
 def _doc_from_disk(payload: dict) -> Document:
     sentences = payload["sentences"]
     surfaces, lemmas = payload["surfaces"], payload["lemmas"]
+    if not type(surfaces) is type(lemmas) is tuple:  # see _split_token_columns
+        raise TypeError("surfaces and lemmas are not both strings")
+    (surfaces,), (lemmas,) = surfaces, lemmas
     # a str would pass the checks below as a list of its characters
-    if not type(surfaces) is type(lemmas) is type(payload["warnings"]) is list:
-        raise TypeError("surfaces, lemmas and warnings are not all lists")
+    if type(payload["warnings"]) is not list:
+        raise TypeError("warnings are not a list")
     if not all(type(n) is int and n >= 0 for n in sentences):
         raise ValueError("sentence lengths are not all counts")
     bounds = list(accumulate(sentences, initial=0))
@@ -367,17 +417,33 @@ def _doc_from_disk(payload: dict) -> Document:
     if not len(surfaces) == len(lemmas) == count:
         raise ValueError(f"{count} tokens but {len(surfaces)} surfaces "
                          f"and {len(lemmas)} lemmas")
-    # a TypeError unless every token and warning, and the filename, is a str
-    "".join(surfaces), "".join(lemmas), "".join(payload["warnings"]) + payload["filename"]
+    # a TypeError unless every warning, and the filename, is a str
+    "".join(payload["warnings"]) + payload["filename"]
     events, timexes, signals = payload["events"], payload["timexes"], payload["signals"]
     instances, links = payload["instances"], payload["links"]
     if type(payload["doc_id"]) is not int:
         raise TypeError(f"doc_id {payload['doc_id']!r} is not a number")
-    # a TypeError unless every attrs is a dict of str; this check and the
-    # one of the ids below run in C, not in a Python loop over the records
-    "".join(chain.from_iterable(map(dict.values, chain(
-        map(itemgetter(1), events), map(itemgetter(2), instances),
-        map(itemgetter(1), timexes)))))
+    shapes = payload["shapes"]
+    if not all(type(names) is list for names in shapes):
+        raise TypeError("shapes are not all lists")
+    shapes = [tuple(names) for names in shapes]
+    shape_column = [*map(itemgetter(1), events), *map(itemgetter(2), instances),
+                    *map(itemgetter(1), timexes)]
+    rows = [*map(itemgetter(2), events), *map(itemgetter(3), instances),
+            *map(itemgetter(2), timexes)]
+    if not set(map(type, shape_column)) <= {int}:
+        raise TypeError("shape indices are not all ints")
+    if shape_column and not 0 <= min(shape_column) <= max(shape_column) < len(shapes):
+        raise ValueError(f"a shape index is not one of the {len(shapes)} shapes")
+    if not set(map(type, rows)) <= {list}:
+        raise TypeError("value rows are not all lists")
+    # these checks run in C, not in a Python loop over the records: a
+    # ValueError unless every row has a value for each name of its shape,
+    # and a TypeError unless every name and value is a str
+    widths = [len(names) for names in shapes]
+    if list(map(len, rows)) != list(map(widths.__getitem__, shape_column)):
+        raise ValueError("a value row and its shape differ in length")
+    "".join(chain.from_iterable(chain(shapes, rows)))
     unknown = {rel for kind, rel in set(map(itemgetter(1, 2), links))
                if kind == "TLINK"} - TLINK_RELATIONS
     if unknown:
@@ -393,12 +459,12 @@ def _doc_from_disk(payload: dict) -> Document:
         sentence_bounds=bounds,
         surfaces=surfaces,
         lemmas=lemmas,
-        events={eid: Event(eid, attrs, first, end)
-                for eid, attrs, first, end in events},
-        instances={eiid: EventInstance(eiid, event_id, attrs)
-                   for eiid, event_id, attrs in instances},
-        timexes={tid: Timex3(tid, attrs, first, end)
-                 for tid, attrs, first, end in timexes},
+        events={eid: Event(eid, shapes[shape], values, first, end)
+                for eid, shape, values, first, end in events},
+        instances={eiid: EventInstance(eiid, event_id, shapes[shape], values)
+                   for eiid, event_id, shape, values in instances},
+        timexes={tid: Timex3(tid, shapes[shape], values, first, end)
+                 for tid, shape, values, first, end in timexes},
         signals={sid: Signal(sid, first, end) for sid, first, end in signals},
         links={lid: Link(lid, kind, rel_type, IntervalRef(kind1, id1),
                          IntervalRef(kind2, id2), signal_id, origin)

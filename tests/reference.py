@@ -18,13 +18,21 @@ compare them against.
 - fragment_normal_form and tag_normal_form: the comparison of a serialized
   TimeML fragment with the tag it was made from.
 - fold_lossless: whether a fold table preserves point semantics.
+- v2_payload and v2_corpus_from_json: the codec of store format version 2,
+  a reference for format 3 of tmlwb.store, which must load every document
+  alike. Version 2 kept each tag's attributes as a dict, wrote them with
+  sorted names, and wrote the tokens as lists of strings.
+- legacy_payload and legacy_corpus_from_json: the codec of the unversioned
+  store format that preceded version 2.
 """
 from __future__ import annotations
 
+import json
 import xml.etree.ElementTree as ET
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 from tmlwb import tokenizer
@@ -32,8 +40,8 @@ from tmlwb.browse import _link_attrs, _lookup
 from tmlwb.errors import LoadError
 from tmlwb.ingest import SPAN_TAGS, _check_dangling, _check_id, _parse_link
 from tmlwb.model import (
-    INSTANCE, INSTANCE_SOURCED, Document, Event, EventInstance, IntervalRef,
-    Link, Signal, Timex3, position_string,
+    INSTANCE, INSTANCE_SOURCED, Corpus, Document, Event, EventInstance,
+    IntervalRef, Link, Signal, Timex3, position_string,
 )
 from tmlwb.point_algebra import (
     Assertion, _eq, _lt, document_assertions, tlink_to_assertions,
@@ -70,12 +78,12 @@ def parse_document(path: Path | str, doc_id: int = 0) -> Document:
             eid = attrs.get("eid")
             if not _check_id(doc, eid, doc.events, "EVENT", "eid"):
                 continue
-            doc.events[eid] = Event(eid, attrs, *bounds[id(elem)])
+            doc.events[eid] = Event(eid, *split_attrs(attrs), *bounds[id(elem)])
         elif tag == "TIMEX3":
             tid = attrs.get("tid")
             if not _check_id(doc, tid, doc.timexes, "TIMEX3", "tid"):
                 continue
-            doc.timexes[tid] = Timex3(tid, attrs, *bounds[id(elem)])
+            doc.timexes[tid] = Timex3(tid, *split_attrs(attrs), *bounds[id(elem)])
         elif tag == "SIGNAL":
             sid = attrs.get("sid")
             if not _check_id(doc, sid, doc.signals, "SIGNAL", "sid"):
@@ -86,7 +94,7 @@ def parse_document(path: Path | str, doc_id: int = 0) -> Document:
             if not _check_id(doc, eiid, doc.instances, "MAKEINSTANCE", "eiid"):
                 continue
             event_id = attrs.get("eventID", "")
-            doc.instances[eiid] = EventInstance(eiid, event_id, attrs)
+            doc.instances[eiid] = EventInstance(eiid, event_id, *split_attrs(attrs))
         elif tag in ("TLINK", "SLINK", "ALINK"):
             link = _parse_link(doc, tag, attrs)
             if link is not None:
@@ -94,6 +102,11 @@ def parse_document(path: Path | str, doc_id: int = 0) -> Document:
 
     _check_dangling(doc)
     return doc
+
+
+def split_attrs(attrs: dict[str, str]) -> tuple[tuple[str, ...], list[str]]:
+    """The keys and values of a tag with these XML attributes."""
+    return tuple(attrs), list(attrs.values())
 
 
 def _collect_text(root: ET.Element) -> tuple[str, list[tuple[ET.Element, int, int]]]:
@@ -410,3 +423,141 @@ def fold_lossless(mapping: dict[str, tuple[str, bool]]) -> bool:
         if before != after:
             return False
     return True
+
+
+# -- store format version 2 ------------------------------------------------
+
+def v2_payload(corpus: Corpus) -> str:
+    """The corpus.json that store format version 2 wrote for a corpus."""
+    return json.dumps({
+        "version": 2,
+        "name": corpus.name,
+        "note": corpus.note,
+        "documents": [_v2_doc_to_disk(d) for d in corpus.documents],
+    }, sort_keys=True, separators=(",", ":"))
+
+
+def _v2_doc_to_disk(doc: Document) -> dict:
+    bounds = doc.sentence_bounds
+    return {
+        "doc_id": doc.doc_id,
+        "filename": doc.filename,
+        "warnings": doc.warnings,
+        "sentences": [end - start for start, end in zip(bounds, bounds[1:])],
+        "surfaces": doc.surfaces,
+        "lemmas": doc.lemmas,
+        "events": [[eid, e.attrs, e.first, e.end]
+                   for eid, e in sorted(doc.events.items())],
+        "instances": [[eiid, i.event_id, i.attrs]
+                      for eiid, i in sorted(doc.instances.items())],
+        "timexes": [[tid, t.attrs, t.first, t.end]
+                    for tid, t in sorted(doc.timexes.items())],
+        "signals": [[sid, s.first, s.end]
+                    for sid, s in sorted(doc.signals.items())],
+        "links": [[lid, l.kind, l.rel_type, l.arg1.kind, l.arg1.ref_id,
+                   l.arg2.kind, l.arg2.ref_id, l.signal_id, l.origin]
+                  for lid, l in sorted(doc.links.items())],
+    }
+
+
+def v2_corpus_from_json(payload: dict) -> Corpus:
+    """The corpus that store format version 2 loaded from a payload, with
+    each tag's attributes in the sorted order they were stored in."""
+    assert payload["version"] == 2
+    return Corpus(name=payload["name"], note=payload["note"],
+                  documents=[_v2_doc_from_disk(d) for d in payload["documents"]])
+
+
+def _v2_doc_from_disk(payload: dict) -> Document:
+    return Document(
+        doc_id=payload["doc_id"],
+        filename=payload["filename"],
+        sentence_bounds=list(accumulate(payload["sentences"], initial=0)),
+        surfaces=payload["surfaces"],
+        lemmas=payload["lemmas"],
+        events={eid: Event(eid, *split_attrs(attrs), first, end)
+                for eid, attrs, first, end in payload["events"]},
+        instances={eiid: EventInstance(eiid, event_id, *split_attrs(attrs))
+                   for eiid, event_id, attrs in payload["instances"]},
+        timexes={tid: Timex3(tid, *split_attrs(attrs), first, end)
+                 for tid, attrs, first, end in payload["timexes"]},
+        signals={sid: Signal(sid, first, end)
+                 for sid, first, end in payload["signals"]},
+        links={lid: Link(lid, kind, rel_type, IntervalRef(kind1, id1),
+                         IntervalRef(kind2, id2), signal_id, origin)
+               for lid, kind, rel_type, kind1, id1, kind2, id2, signal_id, origin
+               in payload["links"]},
+        warnings=payload["warnings"],
+    )
+
+
+# -- the unversioned store format ------------------------------------------
+
+def legacy_payload(corpus: Corpus) -> str:
+    """A corpus.json as the unversioned store wrote it."""
+    return json.dumps({
+        "name": corpus.name,
+        "note": corpus.note,
+        "documents": [_legacy_doc_to_json(d) for d in corpus.documents],
+    }, sort_keys=True)
+
+
+def _legacy_doc_to_json(doc: Document) -> dict:
+    bounds = doc.sentence_bounds
+
+    def toks(span):
+        return list(range(span.first, span.end))
+
+    return {
+        "doc_id": doc.doc_id,
+        "filename": doc.filename,
+        "tokens": [[s, i - start, doc.surfaces[i], doc.lemmas[i]]
+                   for s, (start, end) in enumerate(zip(bounds, bounds[1:]))
+                   for i in range(start, end)],
+        "events": {e.eid: {"attrs": e.attrs, "tokens": toks(e)}
+                   for e in doc.events.values()},
+        "instances": {i.eiid: {"event_id": i.event_id, "attrs": i.attrs}
+                      for i in doc.instances.values()},
+        "timexes": {t.tid: {"attrs": t.attrs, "tokens": toks(t)}
+                    for t in doc.timexes.values()},
+        "signals": {s.sid: {"tokens": toks(s)} for s in doc.signals.values()},
+        "links": {l.lid: {
+            "kind": l.kind, "rel_type": l.rel_type,
+            "arg1": [l.arg1.kind, l.arg1.ref_id],
+            "arg2": [l.arg2.kind, l.arg2.ref_id],
+            "signal_id": l.signal_id, "origin": l.origin,
+        } for l in doc.links.values()},
+        "warnings": doc.warnings,
+    }
+
+
+def legacy_corpus_from_json(payload: dict) -> Corpus:
+    """The corpus that the unversioned store loaded from a payload."""
+    docs = []
+    for d in payload["documents"]:
+        tokens = d["tokens"]  # [sentence, word, surface, lemma]
+        # a sentence starts at each word 0
+        bounds = [i for i, t in enumerate(tokens) if t[1] == 0] + [len(tokens)]
+
+        def toks(indices):
+            return (indices[0], indices[-1] + 1) if indices else (0, 0)
+
+        doc = Document(doc_id=d["doc_id"], filename=d["filename"],
+                       sentence_bounds=bounds,
+                       surfaces=[t[2] for t in tokens], lemmas=[t[3] for t in tokens],
+                       warnings=list(d["warnings"]))
+        for eid, e in d["events"].items():
+            doc.events[eid] = Event(eid, *split_attrs(e["attrs"]), *toks(e["tokens"]))
+        for eiid, i in d["instances"].items():
+            doc.instances[eiid] = EventInstance(eiid, i["event_id"],
+                                                *split_attrs(i["attrs"]))
+        for tid, t in d["timexes"].items():
+            doc.timexes[tid] = Timex3(tid, *split_attrs(t["attrs"]), *toks(t["tokens"]))
+        for sid, sig in d["signals"].items():
+            doc.signals[sid] = Signal(sid, *toks(sig["tokens"]))
+        for lid, l in d["links"].items():
+            doc.links[lid] = Link(
+                lid, l["kind"], l["rel_type"], IntervalRef(*l["arg1"]),
+                IntervalRef(*l["arg2"]), signal_id=l["signal_id"], origin=l["origin"])
+        docs.append(doc)
+    return Corpus(name=payload["name"], note=payload["note"], documents=docs)

@@ -1,7 +1,16 @@
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+from xml.sax.saxutils import escape, quoteattr
+
 import pytest
 
+import tmlwb
 from tmlwb.browse import (
-    browse_tag, select_document, serialize_tag, show_link_context,
+    _TEXT_ESCAPES, _quoteattr, browse_tag, select_document, serialize_tag,
+    show_link_context,
 )
 from tmlwb.errors import CommandError
 
@@ -138,3 +147,35 @@ class TestLinkContext:
         doc = select_document(corpus, "consistent.tml")
         with pytest.raises(CommandError, match="no link"):
             show_link_context(doc, "l99")
+
+
+class TestEscapes:
+    """The fragment escapes against xml.sax.saxutils, which browse no
+    longer imports."""
+
+    ALPHABET = "&<>\"'\n\r\t a;#é"
+
+    def strings(self):
+        rng = random.Random(22)
+        yield from ("", "&amp;", "\"'", "'", '"', "a\r\nb")
+        for _ in range(2000):
+            yield "".join(rng.choice(self.ALPHABET) for _ in range(rng.randint(1, 12)))
+
+    def test_text_matches_saxutils(self):
+        for text in self.strings():
+            assert text.translate(_TEXT_ESCAPES) == escape(text)
+
+    def test_attribute_matches_saxutils(self):
+        for value in self.strings():
+            assert _quoteattr(value) == quoteattr(value)
+
+    def test_cli_imports_no_network_modules(self):
+        """urllib.request (which xml.sax.saxutils imports) would bring in
+        these with it, at a start-up cost paid by every tmlwb process."""
+        src = Path(tmlwb.__file__).resolve().parent.parent
+        found = subprocess.run(
+            [sys.executable, "-c", "import sys, tmlwb.cli; print(sorted(m for m in "
+             "('ssl', 'socket', 'urllib.request', 'email') if m in sys.modules))"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(src)}).stdout
+        assert found == "[]\n"

@@ -317,6 +317,40 @@ class TestCorpusCommands:
         assert "Using corpus 'fx' (8 documents)" in out
 
 
+class TestCaseDuplicateAttributes:
+    def test_first_in_tag_wins_after_use(self, workspace, tmp_path, capsys):
+        """Of two attribute names that differ only in case, the first in the
+        tag wins in the stored corpus as in the parsed one: in a report, in
+        browse and in a TimeML fragment."""
+        corpus_dir = tmp_path / "dup"
+        corpus_dir.mkdir()
+        (corpus_dir / "dup.tml").write_text(
+            '<TimeML>He <EVENT eid="e2" class="OCCURRENCE" Class="STATE">ran</EVENT> '
+            'home.\n<MAKEINSTANCE eiid="ei2" eventID="e2"/>\n</TimeML>\n',
+            encoding="utf-8")
+        assert main(["-c", f"corpus import {corpus_dir} as dup"]) == 0
+        capsys.readouterr()
+        assert main(["-c", "corpus use dup; show list of event class by document; "
+                           "show list of instance class; browse doc 1; "
+                           "browse event e2; browse event e2 as timeml"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "Using corpus 'dup' (1 documents)",
+            " Document  Value",
+            " ====================",
+            " dup.tml   OCCURRENCE",
+            "OCCURRENCE",
+            "Selected dup.tml (id 1)",
+            "EVENT e2",
+            "  class: OCCURRENCE",
+            "  Class: STATE",
+            "  text: ran",
+            "  position: 0:1",
+            "Instances:",
+            "  MAKEINSTANCE ei2: ",
+            '<EVENT eid="e2" class="OCCURRENCE" Class="STATE">ran</EVENT>',
+        ]
+
+
 class TestJsonLines:
     def test_findings_parse(self, session):
         session.findings_format = "json-lines"

@@ -193,3 +193,19 @@ class TestOrphans:
     def test_clean_document(self, corpus):
         doc = corpus.document_by_filename("consistent.tml")
         assert check_orphans(doc) == []
+
+    def test_instance_signal_read_regardless_of_case(self, tmp_path):
+        """A MAKEINSTANCE's signalID is read as reports read it: without
+        regard to case, the first of two case variants winning."""
+        from tmlwb.ingest import parse_document
+        path = tmp_path / "case.tml"
+        path.write_text(
+            '<TimeML>He <SIGNAL sid="s1">then</SIGNAL> <EVENT eid="e1" class="STATE">'
+            'slept</EVENT> and <EVENT eid="e2" class="STATE">woke</EVENT>.\n'
+            '<MAKEINSTANCE eiid="ei1" eventID="e1" SIGNALID="s1" signalID="s9"/>\n'
+            '<MAKEINSTANCE eiid="ei2" eventID="e2" signalid="s8"/>\n'
+            '<TLINK lid="l1" relType="BEFORE" eventInstanceID="ei1" '
+            'relatedToEventInstance="ei2"/>\n</TimeML>\n', encoding="utf-8")
+        doc = parse_document(path)
+        assert doc.warnings == ["MAKEINSTANCE ei2 references missing signal s8"]
+        assert check_orphans(doc) == []

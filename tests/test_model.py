@@ -84,7 +84,7 @@ class TestAttributeCase:
     def test_first_key_of_a_lowercase_form_wins(self, tmp_path):
         """Names are matched without regard to case; of two names that differ
         only in case, the first in the tag wins. attrs stays raw, and tags
-        with the same attribute names share one name map."""
+        with the same attribute names share one keys tuple."""
         path = tmp_path / "case.tml"
         path.write_text(
             '<TimeML><EVENT eid="e1" Class="STATE" class="OCCURRENCE">ran</EVENT> '
@@ -95,8 +95,8 @@ class TestAttributeCase:
         assert fields(doc, "event", "class") == {
             "e1": "STATE", "e2": "OCCURRENCE", "e3": None}
         assert e1.attrs == {"eid": "e1", "Class": "STATE", "class": "OCCURRENCE"}
-        assert e1.attr_keys is e3.attr_keys
-        assert e1.attr_keys is not e2.attr_keys
+        assert e1.keys is e3.keys
+        assert e1.keys is not e2.keys
 
 
 class TestLinkSignalText:

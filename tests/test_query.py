@@ -85,7 +85,7 @@ class TestSentenceGroupOrder:
                 doc.sentence_bounds.append(len(doc.surfaces))
             for i, sentence in enumerate(sentences):
                 first, end = (0, 0) if sentence is None else (sentence, sentence + 1)
-                doc.events[f"e{i}"] = Event(f"e{i}", {"eid": f"e{i}", "class": "STATE"},
+                doc.events[f"e{i}"] = Event(f"e{i}", ("eid", "class"), [f"e{i}", "STATE"],
                                             first, end)
             corpus.documents.append(doc)
         return corpus
@@ -311,16 +311,16 @@ def random_report_corpus(rng: random.Random, n_docs=3) -> Corpus:
             return start, min(start + rng.randint(1, 3), len(doc.surfaces))
 
         for i in range(rng.randint(0, 8)):
-            doc.events[f"e{i}"] = Event(f"e{i}", attrs("eid", f"e{i}", [
-                "class", "tense", "pos"]), *span())
+            doc.events[f"e{i}"] = Event(f"e{i}", *reference.split_attrs(attrs("eid", f"e{i}", [
+                "class", "tense", "pos"])), *span())
         for i in range(rng.randint(0, 10)):
             event_id = rng.choice(sorted(doc.events) + ["e99", ""])
-            doc.instances[f"ei{i}"] = EventInstance(f"ei{i}", event_id, {
+            doc.instances[f"ei{i}"] = EventInstance(f"ei{i}", event_id, *reference.split_attrs({
                 "eventID": event_id, **attrs("eiid", f"ei{i}", [
-                    "tense", "aspect", "polarity", "pos", "signalid", "class"])})
+                    "tense", "aspect", "polarity", "pos", "signalid", "class"])}))
         for i in range(rng.randint(0, 4)):
-            doc.timexes[f"t{i}"] = Timex3(f"t{i}", attrs("tid", f"t{i}", [
-                "type", "value", "mod"]), *span())
+            doc.timexes[f"t{i}"] = Timex3(f"t{i}", *reference.split_attrs(attrs("tid", f"t{i}", [
+                "type", "value", "mod"])), *span())
         for i in range(rng.randint(0, 3)):
             doc.signals[f"s{i}"] = Signal(f"s{i}", *span())
         intervals = ([IntervalRef(INSTANCE, i) for i in list(doc.instances) + ["ei99"]]

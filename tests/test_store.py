@@ -1,25 +1,34 @@
+import fcntl
 import gc
 import hashlib
 import json
 import os
 import random
+import subprocess
+import sys
 import time
 import weakref
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import reference
+import tmlwb.store
+from tmlwb.browse import browse_tag
+from tmlwb.checks import CHECKS, run_check
 from tmlwb.cli import Session, main, run_commands
 from tmlwb.errors import StoreError
 from tmlwb.ingest import CAVAT_FOLD, NO_FOLD, import_corpus
-from tmlwb.model import (
-    Corpus, Document, Event, EventInstance, IntervalRef, Link, Signal, Timex3,
-)
+from tmlwb.model import Corpus
+from tmlwb.query import TAG_FIELDS, Query, format_report, run_query
 from tmlwb.store import Store, corpus_fingerprint
 
 from conftest import FIXTURE_DIR
 from test_ingest import random_timeml
+
+SRC = Path(tmlwb.store.__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -52,8 +61,8 @@ class TestRoundTrip:
         assert corpus_fingerprint(corpus) == hashlib.sha256(stored).hexdigest()
 
     @pytest.mark.parametrize("fold,digest", [
-        (NO_FOLD, "b5d893dc4eb586c11b317447add2d5d6ec5616d6729b43eaabf4a70bee41c2a3"),
-        (CAVAT_FOLD, "0c1e2a1363bb8056f203133af711857b8290453d839190ceb8a9f2cfcbf26652"),
+        (NO_FOLD, "f495ee456fc1ad36febb51d2fb5013a1c61ad8b3c6c8aba11d8a4a0bdf2857ab"),
+        (CAVAT_FOLD, "336aff58c86e3940fcc334a55dfe336f7f5b7283da80866322722af5cc2158a3"),
     ], ids=["none", "cavat"])
     def test_stored_bytes_pinned(self, store, workspace, fold, digest):
         """The stored corpus.json of the fixtures, byte for byte: a change
@@ -129,18 +138,102 @@ class TestUseAndInfo:
             store.delete_corpus("ghost")
 
 
+def assert_unlocked(workspace: Path) -> None:
+    """No process holds the write lock of a workspace."""
+    with open(workspace / ".lock", "rb") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+
+
+# a writer that holds the lock of $TMLWB_HOME until its stdin closes
+HOLDER = """
+import sys
+from tmlwb.store import Store
+with Store()._write_lock():
+    print("held", flush=True)
+    sys.stdin.read()
+"""
+
+
+@contextmanager
+def lock_holder():
+    """A child process that holds the write lock while the block runs."""
+    child = subprocess.Popen(
+        [sys.executable, "-c", HOLDER], stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    with child:
+        try:
+            assert child.stdout.readline() == "held\n"
+            yield child
+        finally:
+            child.kill()
+
+
 class TestLocking:
-    def test_stale_lock_blocks_writer(self, store, corpus, workspace):
+    """The write lock against a live writer in a child process; at most one
+    child runs at a time."""
+
+    @pytest.fixture
+    def holder(self, workspace):
+        with lock_holder() as child:
+            yield child
+
+    def test_stale_lock_blocks_nothing(self, store, corpus, workspace):
+        """A .lock that names a dead writer, as a writer that crashed while
+        holding the lock leaves it."""
         workspace.mkdir(parents=True, exist_ok=True)
-        (workspace / ".lock").touch()
-        with pytest.raises(StoreError, match="locked"):
+        (workspace / ".lock").write_text("999999 2026-10-18T05:17:35", encoding="ascii")
+        store.save_corpus(corpus)
+        store.use_corpus("fixture")
+        store.delete_corpus("fixture")
+        assert store.list_corpora().entries == []
+
+    def test_live_holder_blocks_and_is_named(self, store, corpus, workspace, holder,
+                                             capsys):
+        pid, since = (workspace / ".lock").read_text(encoding="ascii").split()
+        assert int(pid) == holder.pid
+        time.strptime(since, "%Y-%m-%dT%H:%M:%S")
+        with pytest.raises(StoreError) as exc:
             store.save_corpus(corpus)
+        assert str(exc.value) == (f"workspace {workspace} is locked by another "
+                                  f"writer (pid {holder.pid} since {since})")
+        assert main(["-c", f"corpus import {FIXTURE_DIR} as fx"]) == 1
+        assert capsys.readouterr().out == f"error: {exc.value}\n"
+        assert store.list_corpora().entries == []
+
+    def test_killed_holder_blocks_nothing(self, store, corpus, workspace, holder):
+        holder.kill()
+        holder.wait()
+        store.save_corpus(corpus)
+        store.use_corpus("fixture")
+        store.delete_corpus("fixture")
+        assert store.list_corpora().entries == []
+        assert_unlocked(workspace)
+
+    def test_killed_import_blocks_nothing(self, store, corpus, workspace):
+        """corpus import killed at seeded delays, one process at a time."""
+        store.save_corpus(corpus)
+        rng = random.Random(22)
+        for delay in sorted(rng.uniform(0.0, 0.6) for _ in range(3)):
+            child = subprocess.Popen(
+                [sys.executable, "-m", "tmlwb.cli", "-c",
+                 f"corpus import {FIXTURE_DIR} as fx"], stdout=subprocess.DEVNULL,
+                env={**os.environ, "PYTHONPATH": str(SRC)})
+            time.sleep(delay)
+            child.kill()
+            child.wait()
+            assert main(["-c", "corpus list; corpus use fixture"]) == 0
+            if "fx" in {e.name for e in store.list_corpora().entries}:
+                store.delete_corpus("fx")
+            assert main(["-c", f"corpus import {FIXTURE_DIR} as fx"]) == 0
+            store.delete_corpus("fx")
+        assert_unlocked(workspace)
 
     @pytest.mark.parametrize("content,owner", [
         (b"1234 2026-10-18T05:17:35", " (pid 1234 since 2026-10-18T05:17:35)"),
         (b"", ""), (b"garbage", ""), (b"\xff\xfe 1", "")])
-    def test_lock_names_owner(self, store, corpus, workspace, content, owner):
-        workspace.mkdir(parents=True, exist_ok=True)
+    def test_lock_names_owner(self, store, corpus, workspace, holder, content, owner):
+        """The refusal names the owner that the lock file holds, if any."""
         (workspace / ".lock").write_bytes(content)
         with pytest.raises(StoreError) as exc:
             store.save_corpus(corpus)
@@ -154,12 +247,28 @@ class TestLocking:
         pid, since = seen[0].split()
         assert int(pid) == os.getpid()
         time.strptime(since, "%Y-%m-%dT%H:%M:%S")
-        assert not (workspace / ".lock").exists()
+        # the file stays, and the lock is released
+        assert (workspace / ".lock").exists()
+        assert_unlocked(workspace)
 
-    def test_readers_ignore_lock(self, store, corpus, workspace):
+    def test_readers_ignore_lock(self, store, corpus, workspace, capsys):
         store.save_corpus(corpus)
-        (workspace / ".lock").touch()
+        with lock_holder():
+            assert store.load_corpus("fixture").name == "fixture"
+            assert main(["-c", "corpus list"]) == 0
+        assert "fixture" in capsys.readouterr().out
+
+    def test_no_fcntl_refuses_writes(self, store, corpus, workspace, monkeypatch,
+                                     capsys):
+        """Where fcntl is missing, a write is an error line and reads work."""
+        store.save_corpus(corpus)
+        monkeypatch.setattr(tmlwb.store, "fcntl", None)
+        assert main(["-c", f"corpus import {FIXTURE_DIR} as fx"]) == 1
+        assert capsys.readouterr().out == (
+            f"error: cannot write {workspace}: this platform has no fcntl file "
+            "locks, so tmlwb can only read corpora\n")
         assert store.load_corpus("fixture").name == "fixture"
+        assert [e.name for e in store.list_corpora().entries] == ["fixture"]
 
 
 class TestCrashSafety:
@@ -180,7 +289,7 @@ class TestCrashSafety:
         with pytest.raises(StoreError, match="cannot write .*No space left"):
             store.save_corpus(corpus)
         assert list((workspace / "corpora").iterdir()) == []
-        assert not (workspace / ".lock").exists()
+        assert_unlocked(workspace)
         assert store.list_corpora().entries == []
 
     def test_import_leftovers_removed(self, store, corpus, workspace):
@@ -210,7 +319,7 @@ class TestCrashSafety:
             store.delete_corpus("fixture")
         assert [e.name for e in store.list_corpora().entries] == ["fixture"]
         assert corpus_fingerprint(store.load_corpus("fixture")) == corpus_fingerprint(corpus)
-        assert not (workspace / ".lock").exists()
+        assert_unlocked(workspace)
 
     def test_corpus_named_like_a_leftover_kept(self, store, corpus, workspace):
         named = replace(corpus, name=".import-x")
@@ -228,86 +337,10 @@ class TestCrashSafety:
         assert not workspace.exists()
 
 
-def legacy_corpus_from_json(payload: dict) -> Corpus:
-    """The reader of the unversioned store format that preceded version 2.
-    tmlwb no longer reads that format; this reader stays as an independent
-    reference that the version-2 loader must build alike."""
-    docs = []
-    for d in payload["documents"]:
-        tokens = d["tokens"]  # [sentence, word, surface, lemma]
-        # a sentence starts at each word 0
-        bounds = [i for i, t in enumerate(tokens) if t[1] == 0] + [len(tokens)]
-
-        def toks(indices):
-            return (indices[0], indices[-1] + 1) if indices else (0, 0)
-
-        doc = Document(doc_id=d["doc_id"], filename=d["filename"],
-                       sentence_bounds=bounds,
-                       surfaces=[t[2] for t in tokens], lemmas=[t[3] for t in tokens],
-                       warnings=list(d["warnings"]))
-        for eid, e in d["events"].items():
-            doc.events[eid] = Event(eid, dict(e["attrs"]), *toks(e["tokens"]))
-        for eiid, i in d["instances"].items():
-            doc.instances[eiid] = EventInstance(eiid, i["event_id"], dict(i["attrs"]))
-        for tid, t in d["timexes"].items():
-            doc.timexes[tid] = Timex3(tid, dict(t["attrs"]), *toks(t["tokens"]))
-        for sid, sig in d["signals"].items():
-            doc.signals[sid] = Signal(sid, *toks(sig["tokens"]))
-        for lid, l in d["links"].items():
-            doc.links[lid] = Link(
-                lid, l["kind"], l["rel_type"], IntervalRef(*l["arg1"]),
-                IntervalRef(*l["arg2"]), signal_id=l["signal_id"], origin=l["origin"])
-        docs.append(doc)
-    return Corpus(name=payload["name"], note=payload["note"], documents=docs)
-
-
-def legacy_payload(corpus: Corpus) -> str:
-    """A corpus.json as the unversioned store wrote it."""
-    return json.dumps(legacy_corpus_to_json(corpus), sort_keys=True)
-
-
-def legacy_corpus_to_json(corpus: Corpus) -> dict:
-    """The writer of the unversioned store format, kept for the reference
-    reader above and for the unversioned file that a load must refuse."""
-    return {
-        "name": corpus.name,
-        "note": corpus.note,
-        "documents": [_legacy_doc_to_json(d) for d in corpus.documents],
-    }
-
-
-def _legacy_doc_to_json(doc: Document) -> dict:
-    bounds = doc.sentence_bounds
-
-    def toks(span):
-        return list(range(span.first, span.end))
-
-    return {
-        "doc_id": doc.doc_id,
-        "filename": doc.filename,
-        "tokens": [[s, i - start, doc.surfaces[i], doc.lemmas[i]]
-                   for s, (start, end) in enumerate(zip(bounds, bounds[1:]))
-                   for i in range(start, end)],
-        "events": {e.eid: {"attrs": e.attrs, "tokens": toks(e)}
-                   for e in doc.events.values()},
-        "instances": {i.eiid: {"event_id": i.event_id, "attrs": i.attrs}
-                      for i in doc.instances.values()},
-        "timexes": {t.tid: {"attrs": t.attrs, "tokens": toks(t)}
-                    for t in doc.timexes.values()},
-        "signals": {s.sid: {"tokens": toks(s)} for s in doc.signals.values()},
-        "links": {l.lid: {
-            "kind": l.kind, "rel_type": l.rel_type,
-            "arg1": [l.arg1.kind, l.arg1.ref_id],
-            "arg2": [l.arg2.kind, l.arg2.ref_id],
-            "signal_id": l.signal_id, "origin": l.origin,
-        } for l in doc.links.values()},
-        "warnings": doc.warnings,
-    }
-
-
 def loaded_shape(corpus: Corpus) -> list:
-    """Iteration order of every tag dict and attribute dict, the token
-    columns and every span's bounds, of each document."""
+    """Iteration order of every tag dict, the attribute names of every tag
+    (in tag order, as format 3 keeps them), the token columns and every
+    span's bounds, of each document."""
     shape = []
     for d in corpus.documents:
         families = (d.events, d.instances, d.timexes, d.signals, d.links)
@@ -322,6 +355,41 @@ def loaded_shape(corpus: Corpus) -> list:
     return shape
 
 
+def in_tag_order(loaded: Corpus, imported: Corpus) -> Corpus:
+    """loaded, with the attributes of every tag in the order of the same tag
+    of imported: a reference codec that sorted them, as if it had not."""
+    documents = []
+    for doc, model in zip(loaded.documents, imported.documents):
+        pools = {}
+        for family in ("events", "instances", "timexes"):
+            pools[family] = {}
+            for tag_id, tag in getattr(doc, family).items():
+                attrs, keys = tag.attrs, getattr(model, family)[tag_id].keys
+                pools[family][tag_id] = replace(tag, keys=keys,
+                                                values=[attrs[k] for k in keys])
+        documents.append(replace(doc, **pools))
+    return replace(loaded, documents=documents)
+
+
+def outputs(corpus: Corpus) -> list[str]:
+    """A list report of every field of every tag, every check's output and
+    every tag of every document as a TimeML fragment."""
+    out = []
+    for tag, fields in TAG_FIELDS.items():
+        for name in fields:
+            q = Query("list", tag, name)
+            out.append(format_report(run_query(corpus, q), q))
+    for name in CHECKS:
+        out += run_check(corpus, name, "all").lines
+    for doc in corpus.documents:
+        for tag, pool in (("event", doc.events), ("instance", doc.instances),
+                          ("timex3", doc.timexes), ("signal", doc.signals)):
+            out += [browse_tag(doc, tag, tag_id, "timeml") for tag_id in pool]
+        out += [browse_tag(doc, link.kind.lower(), lid, "timeml")
+                for lid, link in doc.links.items()]
+    return out
+
+
 def random_corpus(directory: Path, count: int) -> Corpus:
     directory.mkdir()
     for seed in range(count):
@@ -330,42 +398,77 @@ def random_corpus(directory: Path, count: int) -> Corpus:
     return import_corpus(directory, "random")
 
 
+def rewrite(workspace: Path, corrupt) -> Path:
+    """Apply corrupt to the parsed corpus.json of the fixture corpus."""
+    path = workspace / "corpora" / "fixture" / "corpus.json"
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    corrupt(payload)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
+
+
+def add_event(payload: dict, first, end) -> None:
+    """Add an attribute-less event with the span [first, end) to documents[0]."""
+    doc = payload["documents"][0]
+    doc["shapes"].append([])
+    doc["events"].append(["e999", len(doc["shapes"]) - 1, [], first, end])
+
+
 class TestFormatVersion2:
+    """Store format 3 against the codec of version 2, which tmlwb wrote
+    before it: format 3 loads every document as version 2 did, but for the
+    order of each tag's attributes, which format 3 keeps and version 2
+    sorted; and tmlwb refuses a version-2 file."""
+
     def assert_loads_like_legacy(self, store, corpus):
         store.save_corpus(corpus)
         loaded = store.load_corpus(corpus.name)
-        expected = legacy_corpus_from_json(json.loads(legacy_payload(corpus)))
-        assert corpus_fingerprint(loaded) == corpus_fingerprint(expected)
         assert corpus_fingerprint(loaded) == corpus_fingerprint(corpus)
-        assert loaded_shape(loaded) == loaded_shape(expected)
+        v2 = reference.v2_corpus_from_json(json.loads(reference.v2_payload(corpus)))
+        legacy = reference.legacy_corpus_from_json(
+            json.loads(reference.legacy_payload(corpus)))
+        for expected in (v2, legacy):
+            assert reference.v2_payload(loaded) == reference.v2_payload(expected)
+            assert loaded_shape(loaded) == loaded_shape(in_tag_order(expected, corpus))
+        assert corpus_fingerprint(in_tag_order(v2, corpus)) == corpus_fingerprint(corpus)
+        assert outputs(loaded) == outputs(v2)
 
     @pytest.mark.parametrize("fold", [NO_FOLD, CAVAT_FOLD], ids=lambda f: f.name)
     def test_fixtures_load_like_legacy(self, store, fold):
         self.assert_loads_like_legacy(store, import_corpus(FIXTURE_DIR, "fx", fold))
 
     def test_random_documents_load_like_legacy(self, store, tmp_path):
-        corpus = random_corpus(tmp_path / "random", 200)
-        assert len(corpus.documents) == 200
+        corpus = random_corpus(tmp_path / "random", 300)
+        assert len(corpus.documents) == 300
         self.assert_loads_like_legacy(store, corpus)
 
-    def test_file_is_version_2(self, store, corpus, workspace):
+    def test_file_is_version_3(self, store, corpus, workspace):
         store.save_corpus(corpus)
         payload = json.loads((workspace / "corpora" / "fixture" / "corpus.json")
                              .read_text(encoding="utf-8"))
-        assert payload["version"] == 2
-        doc = payload["documents"][0]
-        assert sum(doc["sentences"]) == len(doc["surfaces"]) == len(doc["lemmas"])
+        assert payload["version"] == 3
+        for doc in payload["documents"]:
+            assert (sum(doc["sentences"]) == len(doc["surfaces"].split())
+                    == len(doc["lemmas"].split()))
+            shapes = [tuple(names) for names in doc["shapes"]]
+            assert len(set(shapes)) == len(shapes)
+            rows = ([e[1:3] for e in doc["events"]] + [i[2:4] for i in doc["instances"]]
+                    + [t[1:3] for t in doc["timexes"]])
+            # shapes are numbered in order of first use
+            used = list(dict.fromkeys(shape for shape, _ in rows))
+            assert used == list(range(len(shapes)))
+            assert all(len(values) == len(shapes[shape]) for shape, values in rows)
 
     def test_unversioned_file_refused(self, store, corpus, workspace, capsys):
         """A corpus.json from before store versions is an error line that
         names the fix, and the fix restores the corpus."""
         store.save_corpus(corpus)
         path = workspace / "corpora" / "fixture" / "corpus.json"
-        path.write_text(legacy_payload(corpus), encoding="utf-8")
+        path.write_text(reference.legacy_payload(corpus), encoding="utf-8")
         assert main(["-c", "corpus use fixture"]) == 1
         out = capsys.readouterr().out
         assert out == (f"error: cannot read {path}: this tmlwb reads store format "
-                       "version 2 only, and the file's \"version\" is missing; run "
+                       "version 3 only, and the file's \"version\" is missing; run "
                        "'corpus delete fixture', then 'corpus import' the corpus "
                        "again\n")
         assert main(["-c", f"corpus delete fixture; "
@@ -373,29 +476,42 @@ class TestFormatVersion2:
         session = Session(store=Store())
         assert run_commands(session, ["corpus use fixture"]) == 0
         assert corpus_fingerprint(session.corpus) == (
-            "6160229060236bacb2a38f4392d49c8300e6b21a9507f1e86f4d98032a6d5035")
+            "0ae05126f2796b850f2362c6bb5d0426366f474f0f1dd0552daa8070c9e2e0bc")
+
+    def test_version_2_file_refused(self, store, corpus, workspace, capsys):
+        """A corpus.json of store format version 2 is an error line that
+        names the fix, and the fix restores the corpus."""
+        store.save_corpus(corpus)
+        path = workspace / "corpora" / "fixture" / "corpus.json"
+        path.write_text(reference.v2_payload(corpus), encoding="utf-8")
+        assert main(["-c", "corpus use fixture; show list of event class"]) == 1
+        assert capsys.readouterr().out == (
+            f"error: cannot read {path}: this tmlwb reads store format version 3 "
+            "only, and the file's \"version\" is 2; run 'corpus delete fixture', "
+            "then 'corpus import' the corpus again\n")
+        assert main(["-c", f"corpus delete fixture; "
+                           f"corpus import {FIXTURE_DIR} as fixture"]) == 0
+        assert corpus_fingerprint(Store().load_corpus("fixture")) == (
+            corpus_fingerprint(corpus))
 
     def test_unknown_version_refused(self, store, corpus, workspace):
         store.save_corpus(corpus)
-        path = workspace / "corpora" / "fixture" / "corpus.json"
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["version"] = 99
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        rewrite(workspace, lambda p: p.update(version=99))
         with pytest.raises(StoreError, match="the file's \"version\" is 99; run "
                            "'corpus delete fixture'"):
             store.load_corpus("fixture")
 
     @pytest.mark.parametrize("corrupt", [
         lambda p: p["documents"][0].pop("surfaces"),
-        lambda p: p["documents"][0]["events"].append(["e999", {}, 0, 10 ** 6]),
-        lambda p: p["documents"][0]["events"].append(["e999", {}, 3, 2]),
+        lambda p: add_event(p, 0, 10 ** 6),
+        lambda p: add_event(p, 3, 2),
         lambda p: p["documents"][0]["sentences"].append(1),
         lambda p: p["documents"][0]["sentences"].extend([-1, 1]),
-        lambda p: p["documents"][0]["events"].append(["e999", {}, 0.5, 1]),
+        lambda p: add_event(p, 0.5, 1),
         lambda p: p["documents"][0]["links"].append(["l999", "TLINK"]),
         lambda p: p["documents"].append(None),
         lambda p: p.update(documents=7),
-        lambda p: p["documents"][1]["events"][0][1].update({"class": 5}),
+        lambda p: p["documents"][1]["events"][0][2].__setitem__(-1, 5),
         lambda p: p["documents"][1]["events"][0].__setitem__(1, "abc"),
         lambda p: p["documents"][1].update(doc_id="x"),
         lambda p: p["documents"][1]["events"][0].__setitem__(0, 7),
@@ -405,18 +521,36 @@ class TestFormatVersion2:
         lambda p: p["documents"][0].update(filename=None),
         lambda p: p["documents"][0].update(warnings=[5]),
         lambda p: p["documents"][0].update(warnings=7),
-        # a str as long as the token column, where a list belongs
-        lambda p: p["documents"][1].update(surfaces="a" * len(p["documents"][1]["surfaces"])),
-        lambda p: p["documents"][1].update(lemmas="a" * len(p["documents"][1]["lemmas"])),
+        # the token list that version 2 stored, where a str belongs
+        lambda p: p["documents"][1].update(surfaces=p["documents"][1]["surfaces"].split()),
+        lambda p: p["documents"][1].update(lemmas=p["documents"][1]["lemmas"].split()),
         lambda p: p["documents"][1].update(warnings="xy"),
+        # shape indices: past the end, negative, not an int
+        lambda p: p["documents"][1]["events"][0].__setitem__(
+            1, len(p["documents"][1]["shapes"])),
+        lambda p: p["documents"][1]["events"][0].__setitem__(
+            1, -len(p["documents"][1]["shapes"])),
+        lambda p: p["documents"][1]["timexes"][0].__setitem__(1, 0.0),
+        lambda p: p["documents"][1]["events"][0].__setitem__(1, True),
+        # a value row shorter or longer than its shape, or not a list
+        lambda p: p["documents"][1]["events"][0][2].pop(),
+        lambda p: p["documents"][1]["instances"][0][3].append("x"),
+        lambda p: p["documents"][1]["events"][0].__setitem__(2, "ab"),
+        # a shape name that is not a str, a shape that is not a list
+        lambda p: p["documents"][1]["shapes"][0].__setitem__(0, 5),
+        lambda p: p["documents"][1]["shapes"].__setitem__(0, "eid"),
+        lambda p: p["documents"][1].pop("shapes"),
+        # token columns that are not a str, or of another token count
+        lambda p: p["documents"][1].update(surfaces=5),
+        lambda p: p["documents"][1].update(lemmas=None),
+        lambda p: p["documents"][1].update(surfaces=p["documents"][1]["surfaces"] + " x"),
+        lambda p: p["documents"][1].update(lemmas=p["documents"][1]["lemmas"] + "  x"),
+        lambda p: p["documents"][1].update(surfaces=""),
     ])
     def test_corrupt_file_is_an_error_line(self, store, corpus, workspace, capsys,
                                            corrupt):
         store.save_corpus(corpus)
-        path = workspace / "corpora" / "fixture" / "corpus.json"
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        corrupt(payload)
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        path = rewrite(workspace, corrupt)
         # browse doc's "did you mean" hint reads every filename
         assert main(["-c", "corpus use fixture; browse doc nosuch"]) == 1
         out = capsys.readouterr().out
@@ -424,25 +558,34 @@ class TestFormatVersion2:
         assert out.count("\n") == 1
 
     @pytest.mark.parametrize("corrupt, where", [
-        (lambda p: p["documents"][1]["events"][0][1].update({"class": 5}),
+        (lambda p: p["documents"][1]["events"][0][2].__setitem__(-1, 5),
          "(documents[1] 'consistent.tml', TypeError: "),
         (lambda p: p["documents"][1]["events"][0].__setitem__(0, 7),
          "(documents[1] 'consistent.tml', TypeError: "),
         (lambda p: p["documents"][2].update(filename=5), "(documents[2], TypeError: "),
-        (lambda p: p["documents"][1].update(surfaces="a" * len(p["documents"][1]["surfaces"])),
+        (lambda p: p["documents"][1].update(surfaces=p["documents"][1]["surfaces"].split()),
          "(documents[1] 'consistent.tml', TypeError: "),
         (lambda p: p["documents"][1].update(warnings="xy"),
          "(documents[1] 'consistent.tml', TypeError: "),
         (lambda p: p["documents"].append(None), "(documents[8], TypeError: "),
         (lambda p: p.pop("note"), "(KeyError: 'note')"),
         (lambda p: p.update(documents=7), "(TypeError: "),
+        (lambda p: p["documents"][1]["events"][0].__setitem__(1, 99),
+         "(documents[1] 'consistent.tml', ValueError: a shape index is not one of "),
+        (lambda p: p["documents"][1]["events"][0].__setitem__(1, "0"),
+         "(documents[1] 'consistent.tml', TypeError: shape indices are not all ints)"),
+        (lambda p: p["documents"][1]["events"][0][2].pop(),
+         "(documents[1] 'consistent.tml', ValueError: a value row and its shape "),
+        (lambda p: p["documents"][1]["shapes"][0].__setitem__(0, 5),
+         "(documents[1] 'consistent.tml', TypeError: "),
+        (lambda p: p["documents"][1].update(lemmas=7),
+         "(documents[1] 'consistent.tml', TypeError: surfaces and lemmas are not "),
+        (lambda p: p["documents"][1].update(surfaces=p["documents"][1]["surfaces"] + " x"),
+         "(documents[1] 'consistent.tml', ValueError: "),
     ])
     def test_refusal_names_the_document(self, store, corpus, workspace, corrupt, where):
         store.save_corpus(corpus)
-        path = workspace / "corpora" / "fixture" / "corpus.json"
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        corrupt(payload)
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        path = rewrite(workspace, corrupt)
         with pytest.raises(StoreError) as refusal:
             store.load_corpus("fixture")
         assert str(refusal.value).startswith(
@@ -464,11 +607,8 @@ class TestFormatVersion2:
         """Columns of the right length but not of strings once loaded and
         then failed in a report with a TypeError."""
         store.save_corpus(corpus)
-        path = workspace / "corpora" / "fixture" / "corpus.json"
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        doc = payload["documents"][0]
-        doc[column] = list(range(len(doc[column])))
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        path = rewrite(workspace, lambda p: p["documents"][0].update(
+            {column: list(range(len(p["documents"][0][column].split())))}))
         assert main(["-c", "corpus use fixture; show list of event text"]) == 1
         out = capsys.readouterr().out
         assert out.count("error:") == 1
@@ -489,7 +629,7 @@ class TestWriteFailures:
         assert main(["-c", "corpus use fixture"]) == 1
         assert capsys.readouterr().out == (
             f"error: cannot write {workspace / 'catalog.tmp'}: Is a directory\n")
-        assert not (workspace / ".lock").exists()
+        assert_unlocked(workspace)
 
 
 class TestCollectorHandling:
@@ -511,7 +651,7 @@ class TestCollectorHandling:
         store.load_corpus("fixture")
         assert gc.isenabled() is enabled
         (workspace / "corpora" / "fixture" / "corpus.json").write_text(
-            '{"version": 2}', encoding="utf-8")
+            '{"version": 3}', encoding="utf-8")
         with pytest.raises(StoreError):
             store.load_corpus("fixture")
         assert gc.isenabled() is enabled
