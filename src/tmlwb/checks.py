@@ -57,7 +57,8 @@ class CheckRun:
 def resolve_targets(corpus: Corpus, targets: list[str] | str | None,
                     browsed: Document | None = None):
     """Map targets (a list of doc ids and filenames, "all", or None for the
-    browsed document) to documents; fails before any check runs."""
+    browsed document) to documents, each once in the order first named;
+    fails before any check runs."""
     if targets is None:
         if browsed is None:
             raise CommandError("no target documents: browse a document "
@@ -65,7 +66,11 @@ def resolve_targets(corpus: Corpus, targets: list[str] | str | None,
         return [browsed]
     if targets == "all":
         return sorted(corpus.documents, key=lambda d: d.doc_id)
-    return [browse.select_document(corpus, target) for target in targets]
+    docs: dict[int, Document] = {}  # a Document is not hashable
+    for target in targets:
+        doc = browse.select_document(corpus, target)
+        docs.setdefault(doc.doc_id, doc)
+    return list(docs.values())
 
 
 def run_check(corpus: Corpus, name: str, targets=None,

@@ -228,7 +228,7 @@ def _tokenize(doc: Document, text: str,
     no word crosses one, and each sentence ends before the first word that
     starts at or after its end.
     """
-    spans = tokenizer.word_spans(text, 0, len(text))
+    spans = tokenizer.word_spans(text)
     starts = [start for start, _ in spans]
     ends = [end for _, end in spans]
     doc.sentence_bounds.extend(bisect_left(starts, end)

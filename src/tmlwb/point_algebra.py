@@ -6,18 +6,21 @@ Following the point algebra of Vilain & Kautz (AAAI 1986), the assertions are
 consistent iff, once union-find has merged the `=` classes, the `<` edges
 between classes form no cycle.
 
-The check runs in two stages. The verdict numbers each document's points as
-ints and decides in one pass: union-find over the `=` pairs, then Kahn's
-in-degree pass over the `<` edges between classes. Only an inconsistent
-document goes on to the explanation, which builds the assertions over named
-points, lets graphlib find a cycle and reports the TLINKs whose assertions
-make it up. The paper's agenda/database closure lives in tests/reference.py,
-as the independent reference the tests check the verdict against.
+Points are ints: the interval numbered i starts at 2i and ends at 2i + 1.
+Assertions are tuples ``(rel, x, y)`` where rel is "<" or "=", and an
+equality keeps its smaller point first. Interval ids appear only in the
+conflict of a result and its message, as points ``(interval_id, START)``
+and ``(interval_id, END)``, written ``id_1`` and ``id_2``.
 
-Assertions are plain tuples ``(rel, left, right)`` where rel is "<" or "=",
-and points are ``(interval_id, 1)`` for the start and ``(interval_id, 2)``
-for the end. Equalities are kept with the lexicographically smaller point
-first so that set comparisons are well defined.
+The check runs in two stages. The verdict numbers the intervals as they
+first occur and decides in one pass: union-find over the `=` pairs, then
+Kahn's in-degree pass over the `<` edges between classes. Only an
+inconsistent document goes on to the explanation, which numbers the
+intervals in sorted-id order, so that the order of two points is the order
+of their names, lets graphlib find a cycle and reports the TLINKs whose
+assertions make it up. The assertions over named points and the paper's
+agenda/database closure live in tests/reference.py, as the independent
+references the tests check both stages against.
 """
 from __future__ import annotations
 
@@ -27,13 +30,14 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import TypeVar
 
-from .model import Document, Link
+from .model import Document
 
 START = 1
 END = 2
 
-Point = tuple[str, int]
+Point = tuple[str, int]  # (interval_id, START or END)
 Assertion = tuple[str, Point, Point]
+IntAssertion = tuple[str, int, int]
 T = TypeVar("T")
 
 # TimeML relation -> point assertion templates, with the link written
@@ -64,47 +68,6 @@ def point_name(p: Point) -> str:
 def assertion_text(a: Assertion) -> str:
     rel, left, right = a
     return f"({point_name(left)} {rel} {point_name(right)})"
-
-
-def _eq(x: Point, y: Point) -> Assertion:
-    return ("=", x, y) if x <= y else ("=", y, x)
-
-
-def _lt(x: Point, y: Point) -> Assertion:
-    return ("<", x, y)
-
-
-def tlink_to_assertions(link: Link) -> set[Assertion]:
-    """Instantiate the point templates for one TLINK."""
-    if link.kind != "TLINK":
-        raise ValueError(f"not a TLINK: {link.lid}")
-    ids = {_A: link.arg1.ref_id, _B: link.arg2.ref_id}
-    out: set[Assertion] = set()
-    for rel, (la, lp), (ra, rp) in TLINK_POINT_MAP[link.rel_type]:
-        left: Point = (ids[la], lp)
-        right: Point = (ids[ra], rp)
-        out.add(_lt(left, right) if rel == "<" else _eq(left, right))
-    return out
-
-
-def interval_axioms(interval_ids: set[str]) -> set[Assertion]:
-    """One start-before-end axiom per interval."""
-    return {_lt((i, START), (i, END)) for i in interval_ids}
-
-
-def document_assertions(doc: Document) -> tuple[set[Assertion], list[Assertion]]:
-    """(axioms, initial agenda) for a document's TLINKs."""
-    intervals: set[str] = set()
-    agenda: list[Assertion] = []
-    seen: set[Assertion] = set()
-    for link in doc.tlinks:
-        intervals.add(link.arg1.ref_id)
-        intervals.add(link.arg2.ref_id)
-        for a in sorted(tlink_to_assertions(link)):
-            if a not in seen:
-                seen.add(a)
-                agenda.append(a)
-    return interval_axioms(intervals), agenda
 
 
 @dataclass
@@ -150,7 +113,7 @@ def verdict(doc: Document) -> tuple[bool, int]:
     The intervals are numbered as they first occur. The `=` classes are
     merged with find, then Kahn's in-degree pass runs over the `<` edges
     between class roots, so a `<` inside one class is a self-loop that
-    fails it. The count is len(axioms) + len(agenda) of
+    fails it. The count is len(intervals) + len(assertions) of
     document_assertions.
     """
     number: dict[str, int] = {}
@@ -192,6 +155,26 @@ def verdict(doc: Document) -> tuple[bool, int]:
     return not left, processed
 
 
+def document_assertions(doc: Document) -> tuple[list[str], dict[IntAssertion, str]]:
+    """(intervals, assertions) of a document's TLINKs: the sorted ids of
+    the intervals they relate, each with its axiom start < end, and each
+    distinct TLINK assertion, in document order and sorted within a TLINK,
+    mapped to the first TLINK that makes it."""
+    tlinks = doc.tlinks
+    intervals = sorted({ref.ref_id for link in tlinks for ref in (link.arg1, link.arg2)})
+    number = {ref_id: 2 * i for i, ref_id in enumerate(intervals)}
+    assertions: dict[IntAssertion, str] = {}
+    for link in tlinks:
+        ab = (number[link.arg1.ref_id], number[link.arg2.ref_id])
+        made = []
+        for lt, la, lo, ra, ro in _INT_TEMPLATES[link.rel_type]:
+            x, y = ab[la] + lo, ab[ra] + ro
+            made.append(("<", x, y) if lt else ("=", min(x, y), max(x, y)))
+        for a in sorted(made):
+            assertions.setdefault(a, link.lid)
+    return intervals, assertions
+
+
 def check_consistency(doc: Document) -> ConsistencyResult:
     """Decide with verdict(); only an inconsistent document goes on to
     explain(), which names the clash."""
@@ -202,8 +185,8 @@ def check_consistency(doc: Document) -> ConsistencyResult:
 
 
 def explain(doc: Document) -> ConsistencyResult:
-    """The result of check_consistency from assertions over named points,
-    with the cycle of `<` that graphlib finds and the TLINKs behind it.
+    """The result of check_consistency, with the cycle of `<` that graphlib
+    finds and the TLINKs behind it.
 
     A `<` inside one class is a self-loop, so the cycle search finds it too.
     The reported conflict is the cycle's `<` assertion that comes last
@@ -211,47 +194,51 @@ def explain(doc: Document) -> ConsistencyResult:
     assertions before it rule it out. A document with no cycle gets the
     consistent result.
     """
-    axioms, initial = document_assertions(doc)
-    # sorted, and dicts rather than sets below, so that the cycle found and
-    # the message do not depend on string hashing
-    assertions = sorted(axioms) + initial
-    parent: dict[Point, Point] = {}
-    for rel, left, right in assertions:
+    intervals, producer = document_assertions(doc)
+    axioms = [("<", p, p + 1) for p in range(0, 2 * len(intervals), 2)]
+    assertions = axioms + list(producer)
+    # dicts rather than sets below, so that the cycle found and the message
+    # follow the order of the assertions
+    parent: dict[int, int] = {}
+    for rel, x, y in assertions:
         if rel == "=":
-            parent[find(parent, left)] = find(parent, right)
+            parent[find(parent, x)] = find(parent, y)
     # class -> {class before it: index of the first `<` assertion between them}
-    preds: dict[Point, dict[Point, int]] = {}
-    for i, (rel, left, right) in enumerate(assertions):
+    preds: dict[int, dict[int, int]] = {}
+    for i, (rel, x, y) in enumerate(assertions):
         if rel == "<":
-            preds.setdefault(find(parent, right), {}).setdefault(
-                find(parent, left), i)
+            preds.setdefault(find(parent, y), {}).setdefault(find(parent, x), i)
     try:
         graphlib.TopologicalSorter(preds).prepare()
     except graphlib.CycleError as exc:
         cycle = exc.args[1]  # each class before the next; first == last
         on_cycle = [preds[after][before]
                     for before, after in zip(cycle, cycle[1:])]
+        rel, x, y = assertions[max(on_cycle)]
+        conflict = (rel, (intervals[x // 2], START + x % 2),
+                    (intervals[y // 2], START + y % 2))
         return ConsistencyResult(
-            False, assertions[max(on_cycle)], len(assertions),
-            _witness(doc, assertions, [assertions[i] for i in on_cycle]))
+            False, conflict, len(assertions),
+            _witness(doc, producer, [assertions[i] for i in on_cycle]))
     return ConsistencyResult(True, None, len(assertions))
 
 
-def _witness(doc: Document, assertions: list[Assertion],
-             cycle: list[Assertion]) -> tuple[str, ...]:
-    """TLINKs asserting a `<` cycle and the `=` steps that close it.
+def _witness(doc: Document, producer: dict[IntAssertion, str],
+             cycle: list[IntAssertion]) -> tuple[str, ...]:
+    """TLINKs asserting a `<` cycle and the `=` steps that close it, from
+    the TLINK assertions of document_assertions and their producers.
 
     Consecutive `<` assertions meet in one `=` class; the `=` assertions on
     a shortest path between their meeting points join them.
     """
-    equal: dict[Point, list[tuple[Point, Assertion]]] = {}
-    for a in assertions:
+    equal: dict[int, list[tuple[int, IntAssertion]]] = {}
+    for a in producer:
         if a[0] == "=":
             equal.setdefault(a[1], []).append((a[2], a))
             equal.setdefault(a[2], []).append((a[1], a))
     used = set(cycle)
     for (_, _, start), (_, goal, _) in zip(cycle, cycle[1:] + cycle[:1]):
-        came: dict[Point, tuple[Point, Assertion] | None] = {start: None}
+        came: dict[int, tuple[int, IntAssertion] | None] = {start: None}
         queue = deque([start])
         while goal not in came:
             p = queue.popleft()
@@ -263,9 +250,5 @@ def _witness(doc: Document, assertions: list[Assertion],
         while came[p] is not None:
             p, a = came[p]
             used.add(a)
-    producer: dict[Assertion, str] = {}
-    for link in doc.tlinks:
-        for a in tlink_to_assertions(link):
-            producer.setdefault(a, link.lid)
     wanted = {producer[a] for a in used if a in producer}
     return tuple(link.lid for link in doc.tlinks if link.lid in wanted)

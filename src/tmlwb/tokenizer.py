@@ -61,7 +61,6 @@ def sentence_spans(text: str) -> list[tuple[int, int]]:
     return spans
 
 
-def word_spans(text: str, start: int, end: int) -> list[tuple[int, int]]:
-    """Return (start, end) ranges of the whitespace-delimited words in
-    text[start:end], as offsets into text."""
-    return [m.span() for m in _WORD.finditer(text, start, end)]
+def word_spans(text: str) -> list[tuple[int, int]]:
+    """Return (start, end) ranges of the whitespace-delimited words of text."""
+    return [m.span() for m in _WORD.finditer(text)]

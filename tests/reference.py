@@ -3,7 +3,7 @@ compare them against.
 
 - parse_document: the two-pass parser, a reference for
   tmlwb.ingest.parse_document. It collects the text in one walk, then
-  scans the words of each sentence separately, lemmatizes every token
+  scans the words (WORD matches) of each sentence separately, lemmatizes every token
   anew, and reads the tags in a second walk over the tree (root.iter()).
   Only the id checks, the link parsing and the dangling-reference
   warnings are shared with tmlwb.ingest.
@@ -13,6 +13,14 @@ compare them against.
   attributes by scanning every key of the tag's raw attribute dict, then
   filters and groups in separate passes. Only the result classes are
   shared with tmlwb.query, so that format_report renders both alike.
+- tlink_to_assertions, interval_axioms and document_assertions: the
+  point assertions of a TLINK, an interval and a document over named
+  points (interval_id, START|END), instantiated from
+  tmlwb.point_algebra.TLINK_POINT_MAP; a reference for the integer points
+  of tmlwb.point_algebra.document_assertions.
+- explain: the explanation stage over named points, a reference for
+  tmlwb.point_algebra.explain, which must give the same result, conflict
+  and witness TLINKs included.
 - oracle_consistency: the paper's agenda/database closure, a reference for
   the verdict of tmlwb.point_algebra.check_consistency.
 - fragment_normal_form and tag_normal_form: the comparison of a serialized
@@ -27,7 +35,9 @@ compare them against.
 """
 from __future__ import annotations
 
+import graphlib
 import json
+import re
 import xml.etree.ElementTree as ET
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
@@ -44,12 +54,16 @@ from tmlwb.model import (
     IntervalRef, Link, Signal, Timex3, position_string,
 )
 from tmlwb.point_algebra import (
-    Assertion, _eq, _lt, document_assertions, tlink_to_assertions,
+    END, START, TLINK_POINT_MAP, _A, _B, Assertion, ConsistencyResult, Point,
+    find,
 )
 from tmlwb.query import (
     DistributionResult, Filter, ListResult, Query, ReportRow, StateGroup,
     StateResult,
 )
+
+
+WORD = re.compile(r"\S+")  # a token
 
 
 def parse_document(path: Path | str, doc_id: int = 0) -> Document:
@@ -143,9 +157,9 @@ def _tokenize(doc: Document, text: str) -> tuple[list[int], list[int]]:
     starts: list[int] = []
     ends: list[int] = []
     for s_start, s_end in tokenizer.sentence_spans(text):
-        for w_start, w_end in tokenizer.word_spans(text, s_start, s_end):
-            starts.append(w_start)
-            ends.append(w_end)
+        for word in WORD.finditer(text, s_start, s_end):
+            starts.append(word.start())
+            ends.append(word.end())
         doc.sentence_bounds.append(len(starts))
     doc.surfaces = [text[s:e] for s, e in zip(starts, ends)]
     doc.lemmas = [tokenizer.lemmatize(surface) for surface in doc.surfaces]
@@ -308,6 +322,110 @@ def run_query(corpus, q: Query):
             ordered = kept + ([("Other", folded)] if folded else [])
         rows.extend(ReportRow(v, n, n / group_total, group) for v, n in ordered)
     return DistributionResult(rows, total)
+
+
+# -- point assertions over named points --------------------------------------
+
+def _eq(x: Point, y: Point) -> Assertion:
+    return ("=", x, y) if x <= y else ("=", y, x)
+
+
+def _lt(x: Point, y: Point) -> Assertion:
+    return ("<", x, y)
+
+
+def tlink_to_assertions(link: Link) -> set[Assertion]:
+    """Instantiate the point templates for one TLINK."""
+    if link.kind != "TLINK":
+        raise ValueError(f"not a TLINK: {link.lid}")
+    ids = {_A: link.arg1.ref_id, _B: link.arg2.ref_id}
+    out: set[Assertion] = set()
+    for rel, (la, lp), (ra, rp) in TLINK_POINT_MAP[link.rel_type]:
+        left: Point = (ids[la], lp)
+        right: Point = (ids[ra], rp)
+        out.add(_lt(left, right) if rel == "<" else _eq(left, right))
+    return out
+
+
+def interval_axioms(interval_ids: set[str]) -> set[Assertion]:
+    """One start-before-end axiom per interval."""
+    return {_lt((i, START), (i, END)) for i in interval_ids}
+
+
+def document_assertions(doc: Document) -> tuple[set[Assertion], list[Assertion]]:
+    """(axioms, initial agenda) for a document's TLINKs."""
+    intervals: set[str] = set()
+    agenda: list[Assertion] = []
+    seen: set[Assertion] = set()
+    for link in doc.tlinks:
+        intervals.add(link.arg1.ref_id)
+        intervals.add(link.arg2.ref_id)
+        for a in sorted(tlink_to_assertions(link)):
+            if a not in seen:
+                seen.add(a)
+                agenda.append(a)
+    return interval_axioms(intervals), agenda
+
+
+def explain(doc: Document) -> ConsistencyResult:
+    """The result of tmlwb.point_algebra.explain, from the assertions over
+    named points: the cycle of `<` that graphlib finds between the `=`
+    classes, its last assertion as the conflict and the TLINKs behind it."""
+    axioms, initial = document_assertions(doc)
+    # sorted, and dicts rather than sets below, so that the cycle found and
+    # the message do not depend on string hashing
+    assertions = sorted(axioms) + initial
+    parent: dict[Point, Point] = {}
+    for rel, left, right in assertions:
+        if rel == "=":
+            parent[find(parent, left)] = find(parent, right)
+    # class -> {class before it: index of the first `<` assertion between them}
+    preds: dict[Point, dict[Point, int]] = {}
+    for i, (rel, left, right) in enumerate(assertions):
+        if rel == "<":
+            preds.setdefault(find(parent, right), {}).setdefault(
+                find(parent, left), i)
+    try:
+        graphlib.TopologicalSorter(preds).prepare()
+    except graphlib.CycleError as exc:
+        cycle = exc.args[1]  # each class before the next; first == last
+        on_cycle = [preds[after][before]
+                    for before, after in zip(cycle, cycle[1:])]
+        return ConsistencyResult(
+            False, assertions[max(on_cycle)], len(assertions),
+            _witness(doc, assertions, [assertions[i] for i in on_cycle]))
+    return ConsistencyResult(True, None, len(assertions))
+
+
+def _witness(doc: Document, assertions: list[Assertion],
+             cycle: list[Assertion]) -> tuple[str, ...]:
+    """TLINKs asserting a `<` cycle and the `=` steps that close it: the
+    `=` assertions on a shortest path join consecutive `<` assertions."""
+    equal: dict[Point, list[tuple[Point, Assertion]]] = {}
+    for a in assertions:
+        if a[0] == "=":
+            equal.setdefault(a[1], []).append((a[2], a))
+            equal.setdefault(a[2], []).append((a[1], a))
+    used = set(cycle)
+    for (_, _, start), (_, goal, _) in zip(cycle, cycle[1:] + cycle[:1]):
+        came: dict[Point, tuple[Point, Assertion] | None] = {start: None}
+        queue = deque([start])
+        while goal not in came:
+            p = queue.popleft()
+            for q, a in equal.get(p, ()):
+                if q not in came:
+                    came[q] = (p, a)
+                    queue.append(q)
+        p = goal
+        while came[p] is not None:
+            p, a = came[p]
+            used.add(a)
+    producer: dict[Assertion, str] = {}
+    for link in doc.tlinks:
+        for a in tlink_to_assertions(link):
+            producer.setdefault(a, link.lid)
+    wanted = {producer[a] for a in used if a in producer}
+    return tuple(link.lid for link in doc.tlinks if link.lid in wanted)
 
 
 def oracle_consistency(doc: Document, discipline: str = "fifo") -> bool:

@@ -13,7 +13,7 @@ from tmlwb.graph_checks import (
     check_orphans, check_tlink_loop, format_subgraph_report, subgraph_stats,
 )
 from tmlwb.ingest import CAVAT_FOLD, COMPACT_FOLD, apply_fold, import_corpus
-from tmlwb.point_algebra import check_consistency, tlink_to_assertions
+from tmlwb.point_algebra import check_consistency
 from tmlwb.query import Filter, Query, TAG_FIELDS, format_percent, format_report
 from tmlwb.query import report_distribution, report_list, report_state, run_query
 from tmlwb.store import Store, corpus_fingerprint
@@ -21,7 +21,9 @@ from tmlwb.store import Store, corpus_fingerprint
 from tmlwb.browse import serialize_tag
 
 from conftest import golden_check, make_doc, random_doc
-from reference import fragment_normal_form, oracle_consistency, tag_normal_form
+from reference import (
+    fragment_normal_form, oracle_consistency, tag_normal_form, tlink_to_assertions,
+)
 from test_graph_checks import reference_shaped_doc
 from test_point_algebra import POINT_TABLE, link
 

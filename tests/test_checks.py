@@ -35,6 +35,18 @@ class TestResolveTargets:
         docs = resolve_targets(corpus, ["2", "orphans.tml"])
         assert [d.filename for d in docs] == ["consistent.tml", "orphans.tml"]
 
+    def test_repeats_resolved_once(self, corpus):
+        docs = resolve_targets(corpus, ["orphans.tml", "2", "orphans.tml",
+                                        "consistent.tml", "7"])
+        assert [d.doc_id for d in docs] == [7, 2]
+
+    def test_repeated_target_checked_once(self, corpus):
+        run = run_check(corpus, "consistent",
+                        ["inconsistent_direct.tml", "3", "inconsistent_direct.tml"])
+        assert run.lines[1:-1] == run_check(
+            corpus, "consistent", ["inconsistent_direct.tml"]).lines[1:-1]
+        assert run.error_count == 1
+
     def test_browsed_default(self, corpus):
         browsed = corpus.documents[0]
         assert resolve_targets(corpus, None, browsed=browsed) == [browsed]

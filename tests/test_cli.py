@@ -208,6 +208,14 @@ class TestBatchExitCodes:
         assert code == 2
         assert "# Findings: 2 error" in out
 
+    def test_repeated_target_checked_once(self, session):
+        code, out = run(session, [
+            "check consistent in inconsistent_direct.tml 3 inconsistent_direct.tml"])
+        assert code == 2
+        assert out.count("# Checking inconsistent_direct.tml") == 1
+        assert out.count("! Inconsistent closure") == 1
+        assert "# Findings: 1 error, 0 warning, 0 info" in out
+
     def test_warning_findings_exit_zero(self, session):
         code, _ = run(session, ["check orphans in orphans.tml"])
         assert code == 0
@@ -374,6 +382,14 @@ class TestJsonLines:
         for record in records.values():
             assert record["message"].startswith(
                 "! Inconsistent closure - could not assert (")
+
+    def test_repeated_target_one_record(self, session):
+        session.findings_format = "json-lines"
+        code, out = run(session, [
+            "check consistent in inconsistent_direct.tml 3 inconsistent_direct.tml"])
+        assert code == 2
+        records = [json.loads(line) for line in out.strip().splitlines()]
+        assert [r["document"] for r in records] == ["inconsistent_direct.tml"]
 
     def test_exit_code_still_two(self, session):
         session.findings_format = "json-lines"

@@ -1,19 +1,19 @@
 """Differential property test: on generated TLINK sets, the integer-point
 verdict of check_consistency equals the paper's agenda/database closure,
-its count equals document_assertions, and the whole result equals the
-explanation stage's."""
+its count equals the assertions over named points, the whole result equals
+the explanation stage's, and that equals the explanation over named points
+(reference.explain), message included."""
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from tmlwb.model import TLINK_RELATIONS
-from tmlwb.point_algebra import (
-    check_consistency, document_assertions, explain, verdict,
-)
+from tmlwb.point_algebra import check_consistency, explain, verdict
 
+import reference
 from conftest import make_doc
-from reference import oracle_consistency
+from reference import document_assertions, oracle_consistency
 
 IDS = ("e1", "e2", "e3", "e4", "t1", "t2")
 
@@ -31,4 +31,6 @@ class TestVerdictProperty:
         assert consistent == oracle_consistency(doc)
         axioms, agenda = document_assertions(doc)
         assert processed == len(axioms) + len(agenda)
-        assert check_consistency(doc) == explain(doc)
+        result, named = explain(doc), reference.explain(doc)
+        assert check_consistency(doc) == result
+        assert (result, result.message) == (named, named.message)

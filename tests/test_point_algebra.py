@@ -4,12 +4,10 @@ import pytest
 
 from tmlwb.ingest import CAVAT_FOLD, apply_fold
 from tmlwb.model import IntervalRef, Link, INSTANCE
-from tmlwb.point_algebra import (
-    check_consistency, interval_axioms, tlink_to_assertions,
-)
+from tmlwb.point_algebra import START, check_consistency, document_assertions
 
 from conftest import make_doc, random_doc, random_timeline_doc
-from reference import oracle_consistency
+from reference import interval_axioms, oracle_consistency, tlink_to_assertions
 
 
 def restricted(doc, lids):
@@ -57,6 +55,47 @@ class TestPointMapping:
                    IntervalRef(INSTANCE, "a"), IntervalRef(INSTANCE, "b"))
         with pytest.raises(ValueError):
             tlink_to_assertions(bad)
+
+
+def renamed(assertions, names):
+    """Assertions over named points with each interval id renamed, an
+    equality keeping its smaller point first."""
+    out = set()
+    for rel, (left, lp), (right, rp) in assertions:
+        x, y = (names[left], lp), (names[right], rp)
+        out.add((rel, x, y) if rel == "<" or x <= y else (rel, y, x))
+    return out
+
+
+def named_assertions(doc):
+    """The TLINK assertions of document_assertions over named points."""
+    intervals, assertions = document_assertions(doc)
+
+    def point(p):
+        return intervals[p // 2], START + p % 2
+
+    return {(rel, point(x), point(y)) for rel, x, y in assertions}
+
+
+class TestProductionMapping:
+    """The integer points of document_assertions, named again, against
+    the table: arg1 sorting before arg2, after it, and both the same."""
+    @pytest.mark.parametrize("a,b", [("a", "b"), ("y", "x"), ("a", "a")])
+    @pytest.mark.parametrize("rel", sorted(POINT_TABLE))
+    def test_table_row(self, rel, a, b):
+        doc = make_doc([(rel, a, b)])
+        assert document_assertions(doc)[0] == sorted({a, b})
+        assert named_assertions(doc) == renamed(POINT_TABLE[rel], {"a": a, "b": b})
+
+    def test_first_tlink_makes_each_assertion(self):
+        doc = make_doc([("ENDS", "B", "A"), ("BEFORE", "A", "B"),
+                        ("AFTER", "B", "A"), ("ENDED_BY", "A", "B")])
+        intervals, assertions = document_assertions(doc)
+        # A is interval 0 (points 0, 1) and B interval 1 (points 2, 3);
+        # TLINKs in document order, the assertions of each one sorted
+        assert intervals == ["A", "B"]
+        assert list(assertions.items()) == [
+            (("<", 0, 2), "l1"), (("=", 1, 3), "l1"), (("<", 1, 2), "l2")]
 
 
 class TestIntervalAxioms:
