@@ -6,8 +6,8 @@ import difflib
 
 from .errors import CommandError
 from .model import (
-    Corpus, Document, Event, EventInstance, Link, Signal, Timex3,
-    interval_span, link_arg_attr_names, link_signal_text, position_string,
+    LINK_ARGS, Corpus, Document, Event, EventInstance, Link, Signal, Timex3,
+    interval_span, link_signal_text, position_string,
 )
 from .query import TAGS, _csv
 
@@ -37,7 +37,7 @@ def _lookup(doc: Document, tag: str, tag_id: str):
     }
     if tag in pools:
         obj = pools[tag].get(tag_id)
-    elif tag in ("tlink", "slink", "alink"):
+    elif tag in TAGS:  # the lowercase name of a link kind
         obj = doc.links.get(tag_id)
         if obj is not None and obj.kind != tag.upper():
             obj = None
@@ -99,8 +99,13 @@ def serialize_tag(doc: Document, tag: str, tag_id: str) -> str:
 
 
 def _link_attrs(link: Link) -> dict[str, str]:
-    a1, a2 = link_arg_attr_names(link.kind, link.arg1, link.arg2)
-    attrs = {"relType": link.rel_type, a1: link.arg1.ref_id, a2: link.arg2.ref_id}
+    """A link's TimeML attributes; each argument goes to the candidate
+    attribute of its kind in LINK_ARGS, or else to the last candidate."""
+    attrs = {"relType": link.rel_type}
+    for ref, candidates in zip((link.arg1, link.arg2), LINK_ARGS[link.kind]):
+        name = next((name for name, kind in candidates if kind == ref.kind),
+                    candidates[-1][0])
+        attrs[name] = ref.ref_id
     if link.signal_id:
         attrs["signalID"] = link.signal_id
     if link.origin:

@@ -8,19 +8,18 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from importlib import resources
 from pathlib import Path
 
 from . import tokenizer
 from .errors import LoadError
 from .model import (
     Corpus, Document, Event, EventInstance, IntervalRef, Link, Signal,
-    Timex3, INSTANCE, TIMEX, TLINK_RELATIONS,
+    Timex3, INSTANCE, LINK_ARGS, TLINK_RELATIONS,
 )
 
 SPAN_TAGS = ("EVENT", "TIMEX3", "SIGNAL")
 # the elements parse_document reads, and those whose attributes it keeps
-PARSED_TAGS = frozenset(SPAN_TAGS + ("MAKEINSTANCE", "TLINK", "SLINK", "ALINK"))
+PARSED_TAGS = frozenset((*SPAN_TAGS, "MAKEINSTANCE", *LINK_ARGS))
 SHAPED_TAGS = frozenset(("EVENT", "TIMEX3", "MAKEINSTANCE"))
 
 
@@ -89,9 +88,8 @@ def get_fold_scheme(name: str) -> FoldScheme:
     if name in builtin:
         return builtin[name]
     if name == "sputlink":
-        ref = resources.files("tmlwb").joinpath("data/folds/sputlink.fold")
-        with resources.as_file(ref) as path:
-            return load_fold_file(path, "sputlink")
+        return load_fold_file(Path(__file__).with_name("data") / "folds" / "sputlink.fold",
+                              "sputlink")
     raise LoadError(f"unknown fold scheme {name!r}; available: none, cavat, compact, sputlink")
 
 
@@ -263,26 +261,19 @@ def _parse_link(doc: Document, kind: str, attrs: dict[str, str]) -> Link | None:
     if kind == "TLINK" and rel_type not in TLINK_RELATIONS:
         doc.warnings.append(f"TLINK {lid} has unknown relType {attrs.get('relType')!r}; skipped")
         return None
-    arg1 = _link_arg(attrs, ("eventInstanceID", INSTANCE), ("timeID", TIMEX))
-    if kind == "SLINK":
-        arg2 = _link_arg(attrs, ("subordinatedEventInstance", INSTANCE))
-    else:
-        arg2 = _link_arg(attrs, ("relatedToEventInstance", INSTANCE),
-                         ("relatedToTime", TIMEX))
-    if arg1 is None or arg2 is None:
-        doc.warnings.append(f"{kind} {lid} missing an argument; skipped")
-        return None
-    return Link(lid, kind, rel_type, arg1, arg2,
+    args = []
+    for candidates in LINK_ARGS[kind]:
+        for attr_name, arg_kind in candidates:
+            value = attrs.get(attr_name)
+            if value:
+                args.append(IntervalRef(arg_kind, value))
+                break
+        else:
+            doc.warnings.append(f"{kind} {lid} missing an argument; skipped")
+            return None
+    return Link(lid, kind, rel_type, *args,
                 signal_id=attrs.get("signalID") or None,
                 origin=attrs.get("origin") or None)
-
-
-def _link_arg(attrs: dict[str, str], *candidates: tuple[str, str]) -> IntervalRef | None:
-    for attr_name, kind in candidates:
-        value = attrs.get(attr_name)
-        if value:
-            return IntervalRef(kind, value)
-    return None
 
 
 def _check_dangling(doc: Document) -> None:

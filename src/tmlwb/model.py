@@ -13,6 +13,12 @@ dict and runs no set-up per tag, and re-serialization loses nothing; attrs
 builds the attribute dict on demand. Everything is treated as immutable
 after load.
 
+LINK_ARGS is the one table of the link kinds: for each, the (attribute,
+interval kind) candidates for its arg1 and for its arg2, in the order a
+parse tries them. A parse reads a link's arguments by it, and browse writes
+them back by it. An IntervalRef is a plain tuple and each tag and link a
+slotted dataclass, so none of them has a __dict__ or runs per-record set-up.
+
 Reports read fields through one resolver, Document.column: one field of
 every occurrence in a pool (a tag's, or a link kind's), in pool order, or
 their sentence numbers. A document keeps each column it builds for as long
@@ -24,6 +30,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache
 from operator import attrgetter
+from typing import NamedTuple
 
 # the closed set of TLINK relation types
 TLINK_RELATIONS = frozenset({
@@ -37,14 +44,21 @@ TLINK_RELATIONS = frozenset({
 INSTANCE = "instance"
 TIMEX = "timex"
 
+_ARG1 = (("eventInstanceID", INSTANCE), ("timeID", TIMEX))
+_RELATED = (("relatedToEventInstance", INSTANCE), ("relatedToTime", TIMEX))
+LINK_ARGS = {
+    "TLINK": (_ARG1, _RELATED),
+    "SLINK": (_ARG1, (("subordinatedEventInstance", INSTANCE),)),
+    "ALINK": (_ARG1, _RELATED),
+}
+
 # attributes that live on MAKEINSTANCE; an instance takes every other field
 # from its EVENT (see Document.column)
 INSTANCE_SOURCED = ("tense", "aspect", "polarity", "modality", "cardinality",
                     "pos", "signalid")
 
 
-@dataclass(frozen=True)
-class IntervalRef:
+class IntervalRef(NamedTuple):
     """Reference to a temporal primitive: an event instance or a TIMEX3."""
     kind: str  # INSTANCE or TIMEX
     ref_id: str
@@ -86,35 +100,23 @@ class Timex3(_Tagged):
     end: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Signal:
     sid: str
     first: int
     end: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Link:
     """Unified TLINK/SLINK/ALINK record with abstract arg1/arg2."""
     lid: str
-    kind: str  # "TLINK" | "SLINK" | "ALINK"
+    kind: str  # a key of LINK_ARGS
     rel_type: str
     arg1: IntervalRef
     arg2: IntervalRef
     signal_id: str | None = None
     origin: str | None = None
-
-
-def link_arg_attr_names(kind: str, arg1: IntervalRef, arg2: IntervalRef) -> tuple[str, str]:
-    """The TimeML attribute names carrying arg1/arg2 for this link kind."""
-    a1 = "eventInstanceID" if arg1.kind == INSTANCE else "timeID"
-    if kind == "SLINK":
-        a2 = "subordinatedEventInstance"
-    elif arg2.kind == INSTANCE:
-        a2 = "relatedToEventInstance"
-    else:
-        a2 = "relatedToTime"
-    return a1, a2
 
 
 @dataclass
@@ -206,8 +208,8 @@ def _build_column(doc: Document, pool: str, name: str | None) -> list:
     number of each occurrence's first token, -1 when it has none.
 
     A pool is "event", "instance", "timex3" or "signal" (the tags, in
-    document order), or "tlink", "slink" or "alink" (the links of that
-    kind). An instance takes its own attributes (INSTANCE_SOURCED, eiid,
+    document order), or a link kind of LINK_ARGS in lowercase (the links
+    of that kind). An instance takes its own attributes (INSTANCE_SOURCED, eiid,
     eventid) from the MAKEINSTANCE tag and every other field, and its
     sentence, from the EVENT it instantiates; when that reference dangles,
     those are None (-1). A link's sentence is that of its arg1. Other
@@ -215,8 +217,8 @@ def _build_column(doc: Document, pool: str, name: str | None) -> list:
     XML attribute looked up without regard to case. The field is decided
     once, and one comprehension builds the column.
     """
-    if pool in ("tlink", "slink", "alink"):
-        kind = pool.upper()
+    kind = pool.upper()
+    if kind in LINK_ARGS:
         links = [link for link in doc.links.values() if link.kind == kind]
         if name == "signaltext":
             return [link_signal_text(doc, link) for link in links]

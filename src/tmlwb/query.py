@@ -10,10 +10,10 @@ from dataclasses import dataclass
 from itertools import compress, repeat
 
 from .errors import QueryError
-from .model import Corpus, INSTANCE_SOURCED
+from .model import Corpus, INSTANCE_SOURCED, LINK_ARGS
 
 REPORTS = ("list", "distribution", "state")
-TAGS = ("event", "instance", "timex3", "signal", "tlink", "slink", "alink")
+TAGS = ("event", "instance", "timex3", "signal", *map(str.lower, LINK_ARGS))
 FORMATS = ("screen", "csv", "tex")
 GRANULARITIES = ("corpus", "document", "sentence")
 
@@ -30,9 +30,7 @@ TAG_FIELDS: dict[str, tuple[str, ...]] = {
                "functionindocument", "anchortimeid", "beginpoint", "endpoint",
                "text", "lemma", "position"),
     "signal": ("sid", "text", "lemma", "position"),
-    "tlink": _LINK_FIELDS,
-    "slink": _LINK_FIELDS,
-    "alink": _LINK_FIELDS,
+    **dict.fromkeys(map(str.lower, LINK_ARGS), _LINK_FIELDS),
 }
 
 

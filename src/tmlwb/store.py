@@ -45,7 +45,8 @@ user to delete the corpus and import it again. A load refuses a record of
 the wrong type (a doc_id that is not an int, an id or a reference to one
 that is not a str, a shape index that is not an int or names no shape, a
 value row that is not a list of str as long as its shape, a shape name that
-is not a str, a TLINK relation type outside TLINK_RELATIONS, surfaces or
+is not a str, a link kind outside LINK_ARGS, an argument kind other than
+INSTANCE or TIMEX, a TLINK relation type outside TLINK_RELATIONS, surfaces or
 lemmas that are not a str, a token count other than the sum of the
 sentence lengths, warnings that are not a list, a filename or warning that
 is not a str) as not a tmlwb corpus, so no command fails on it later, and
@@ -84,7 +85,7 @@ except ImportError:  # not a POSIX platform: writes are refused
 from .errors import StoreError
 from .model import (
     Corpus, Document, Event, EventInstance, IntervalRef, Link, Signal, Timex3,
-    TLINK_RELATIONS,
+    INSTANCE, LINK_ARGS, TIMEX, TLINK_RELATIONS,
 )
 
 ENV_HOME = "TMLWB_HOME"
@@ -444,11 +445,14 @@ def _doc_from_disk(payload: dict) -> Document:
     if list(map(len, rows)) != list(map(widths.__getitem__, shape_column)):
         raise ValueError("a value row and its shape differ in length")
     "".join(chain.from_iterable(chain(shapes, rows)))
-    unknown = {rel for kind, rel in set(map(itemgetter(1, 2), links))
-               if kind == "TLINK"} - TLINK_RELATIONS
-    if unknown:
-        raise ValueError("unknown TLINK relation type "
-                         + ", ".join(sorted(map(repr, unknown))))
+    kinds = set(map(itemgetter(1, 2), links))
+    arg_kinds = {*map(itemgetter(3), links), *map(itemgetter(5), links)}
+    for what, unknown in (("link kind", {kind for kind, _ in kinds} - LINK_ARGS.keys()),
+                          ("argument kind", arg_kinds - {INSTANCE, TIMEX}),
+                          ("TLINK relation type", {rel for kind, rel in kinds
+                                                   if kind == "TLINK"} - TLINK_RELATIONS)):
+        if unknown:
+            raise ValueError(f"unknown {what} " + ", ".join(sorted(map(repr, unknown))))
     for record in (*events, *timexes, *signals):
         first, end = record[-2:]
         if not (type(first) is int and type(end) is int and 0 <= first <= end <= count):

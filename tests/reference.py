@@ -25,6 +25,10 @@ compare them against.
   the verdict of tmlwb.point_algebra.check_consistency.
 - fragment_normal_form and tag_normal_form: the comparison of a serialized
   TimeML fragment with the tag it was made from.
+- link_arg_attr_names: the TimeML attributes that carry a link's arguments,
+  as one rule per argument, a reference for the names tmlwb.browse takes
+  from tmlwb.model.LINK_ARGS; tag_normal_form names a link's arguments by
+  it.
 - fold_lossless: whether a fold table preserves point semantics.
 - v2_payload and v2_corpus_from_json: the codec of store format version 2,
   a reference for format 3 of tmlwb.store, which must load every document
@@ -46,7 +50,7 @@ from itertools import accumulate
 from pathlib import Path
 
 from tmlwb import tokenizer
-from tmlwb.browse import _link_attrs, _lookup
+from tmlwb.browse import _lookup
 from tmlwb.errors import LoadError
 from tmlwb.ingest import SPAN_TAGS, _check_dangling, _check_id, _parse_link
 from tmlwb.model import (
@@ -527,7 +531,26 @@ def tag_normal_form(doc: Document, tag: str, tag_id: str) -> tuple[str, dict[str
         return "SIGNAL", {"sid": obj.sid}, _words(doc.surfaces, obj)
     if isinstance(obj, EventInstance):
         return "MAKEINSTANCE", dict(obj.attrs), ""
-    return obj.kind, {"lid": obj.lid, **_link_attrs(obj)}, ""
+    a1, a2 = link_arg_attr_names(obj.kind, obj.arg1, obj.arg2)
+    attrs = {"lid": obj.lid, "relType": obj.rel_type, a1: obj.arg1.ref_id,
+             a2: obj.arg2.ref_id}
+    if obj.signal_id:
+        attrs["signalID"] = obj.signal_id
+    if obj.origin:
+        attrs["origin"] = obj.origin
+    return obj.kind, attrs, ""
+
+
+def link_arg_attr_names(kind: str, arg1: IntervalRef, arg2: IntervalRef) -> tuple[str, str]:
+    """The TimeML attribute names carrying arg1/arg2 for this link kind."""
+    a1 = "eventInstanceID" if arg1.kind == INSTANCE else "timeID"
+    if kind == "SLINK":
+        a2 = "subordinatedEventInstance"
+    elif arg2.kind == INSTANCE:
+        a2 = "relatedToEventInstance"
+    else:
+        a2 = "relatedToTime"
+    return a1, a2
 
 
 def fold_lossless(mapping: dict[str, tuple[str, bool]]) -> bool:

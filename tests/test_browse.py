@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -13,8 +14,10 @@ from tmlwb.browse import (
     show_link_context,
 )
 from tmlwb.errors import CommandError
+from tmlwb.ingest import CAVAT_FOLD, COMPACT_FOLD, apply_fold
+from tmlwb.model import INSTANCE, LINK_ARGS, TIMEX, Document, IntervalRef, Link
 
-from reference import fragment_normal_form, tag_normal_form
+from reference import fragment_normal_form, link_arg_attr_names, tag_normal_form
 
 
 class TestSelectDocument:
@@ -86,6 +89,47 @@ class TestSerializeRoundTrip:
         doc = select_document(corpus, "consistent.tml")
         with pytest.raises(CommandError):
             serialize_tag(doc, "slink", "l1")  # l1 is a TLINK
+
+
+class TestLinkAttributeNames:
+    """serialize_tag names a link's arguments as link_arg_attr_names of the
+    tests' reference does, for every shape of link that a load accepts."""
+
+    KINDS = ("TLINK", "SLINK", "ALINK")
+    SHAPES = list(itertools.product((INSTANCE, TIMEX), repeat=2))
+
+    def expected(self, link):
+        a1, a2 = link_arg_attr_names(link.kind, link.arg1, link.arg2)
+        return link.kind, {"lid": link.lid, "relType": link.rel_type,
+                           a1: link.arg1.ref_id, a2: link.arg2.ref_id}, ""
+
+    def test_kinds_are_the_table(self):
+        assert set(self.KINDS) == LINK_ARGS.keys()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("kind1, kind2", SHAPES)
+    def test_every_link_shape(self, kind, kind1, kind2):
+        link = Link("l1", kind, "BEFORE", IntervalRef(kind1, "a"), IntervalRef(kind2, "b"))
+        doc = Document(1, "d.tml", links={"l1": link})
+        fragment = serialize_tag(doc, kind.lower(), "l1")
+        assert fragment_normal_form(fragment) == self.expected(link)
+
+    @pytest.mark.parametrize("fold", [CAVAT_FOLD, COMPACT_FOLD], ids=lambda f: f.name)
+    def test_every_fold_row(self, fold):
+        """A swapping row moves each argument to the attribute of its new
+        position: a TIMEX arg2 becomes a timeID arg1."""
+        swapped_rows = 0
+        for original, (target, swap) in fold.mapping.items():
+            swapped = swap and target != original
+            swapped_rows += swapped
+            for kind1, kind2 in self.SHAPES:
+                a, b = IntervalRef(kind1, "a"), IntervalRef(kind2, "b")
+                doc = apply_fold(Document(1, "d.tml", links={
+                    "l1": Link("l1", "TLINK", original, a, b)}), fold)
+                link = Link("l1", "TLINK", target, *((b, a) if swapped else (a, b)))
+                fragment = serialize_tag(doc, "tlink", "l1")
+                assert fragment_normal_form(fragment) == self.expected(link)
+        assert swapped_rows >= 5
 
 
 class TestBrowseScreen:
@@ -176,6 +220,18 @@ class TestEscapes:
         found = subprocess.run(
             [sys.executable, "-c", "import sys, tmlwb.cli; print(sorted(m for m in "
              "('ssl', 'socket', 'urllib.request', 'email') if m in sys.modules))"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(src)}).stdout
+        assert found == "[]\n"
+
+    def test_cli_imports_no_importlib_resources(self):
+        """The sputlink fold file is read by its path, so importlib.resources
+        and its submodules stay out of every tmlwb process. -S keeps out the
+        site hooks, whose .pth files may import it themselves."""
+        src = Path(tmlwb.__file__).resolve().parent.parent
+        found = subprocess.run(
+            [sys.executable, "-S", "-c", "import sys, tmlwb.cli; print(sorted(m for m in "
+             "sys.modules if m.startswith('importlib.resources')))"],
             capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": str(src)}).stdout
         assert found == "[]\n"

@@ -12,7 +12,7 @@ from tmlwb.ingest import (
     CAVAT_FOLD, COMPACT_FOLD, NO_FOLD, apply_fold, get_fold_scheme,
     import_corpus, load_fold_file, parse_document,
 )
-from tmlwb.model import INSTANCE, TIMEX
+from tmlwb.model import INSTANCE, TIMEX, IntervalRef
 
 import reference
 from conftest import FIXTURE_DIR, assert_same_document
@@ -77,6 +77,37 @@ class TestParseDocument:
         l1 = doc.links["l1"]
         assert l1.arg1.kind == INSTANCE
         assert l1.arg2.kind == TIMEX
+
+    def test_argument_attribute_order(self, tmp_path):
+        """Of two attributes that may carry an argument, the first with a
+        value wins: eventInstanceID before timeID, relatedToEventInstance
+        before relatedToTime; an empty value falls through. An SLINK's arg2
+        is subordinatedEventInstance only."""
+        path = tmp_path / "args.tml"
+        path.write_text(
+            '<TimeML>text\n'
+            '<TLINK lid="l1" relType="BEFORE" timeID="t1" eventInstanceID="ei1" '
+            'relatedToTime="t2" relatedToEventInstance="ei2"/>\n'
+            '<TLINK lid="l2" relType="BEFORE" eventInstanceID="" timeID="t1" '
+            'relatedToEventInstance="" relatedToTime="t2"/>\n'
+            '<ALINK lid="l3" relType="INITIATES" eventInstanceID="ei1" timeID="t1" '
+            'relatedToEventInstance="ei2" relatedToTime="t2"/>\n'
+            '<SLINK lid="l4" relType="MODAL" timeID="t1" '
+            'subordinatedEventInstance="ei2" relatedToEventInstance="ei3"/>\n'
+            '<SLINK lid="l5" relType="MODAL" eventInstanceID="ei1" '
+            'relatedToEventInstance="ei2" relatedToTime="t2"/>\n'
+            '<TLINK lid="l6" relType="BEFORE" eventInstanceID="" relatedToTime="t2"/>\n'
+            '</TimeML>')
+        doc = parse_document(path)
+        args = {lid: (link.arg1, link.arg2) for lid, link in doc.links.items()}
+        assert args == {
+            "l1": (IntervalRef(INSTANCE, "ei1"), IntervalRef(INSTANCE, "ei2")),
+            "l2": (IntervalRef(TIMEX, "t1"), IntervalRef(TIMEX, "t2")),
+            "l3": (IntervalRef(INSTANCE, "ei1"), IntervalRef(INSTANCE, "ei2")),
+            "l4": (IntervalRef(TIMEX, "t1"), IntervalRef(INSTANCE, "ei2")),
+        }
+        assert "SLINK l5 missing an argument; skipped" in doc.warnings
+        assert "TLINK l6 missing an argument; skipped" in doc.warnings
 
     def test_token_spans_and_lemmas(self, corpus):
         doc = corpus.document_by_filename("consistent.tml")

@@ -591,6 +591,29 @@ class TestFormatVersion2:
         assert str(refusal.value).startswith(
             f"cannot read {path}: not a tmlwb corpus {where}")
 
+    @pytest.mark.parametrize("column, value, unknown", [
+        (1, "XLINK", "link kind 'XLINK'"),
+        (3, "foo", "argument kind 'foo'"),
+        (5, "TIMEX3", "argument kind 'TIMEX3'"),
+        (5, None, "argument kind None"),
+    ])
+    def test_unknown_link_or_argument_kind_refused(self, store, corpus, workspace, capsys,
+                                                   column, value, unknown):
+        """Such a link used to load: with an arg1 kind of "foo" on l10,
+        check orphans reported its TIMEX3 t19 as in no link and exited 0,
+        and an XLINK dropped out of every TLINK check."""
+        store.save_corpus(corpus)
+
+        def corrupt(payload):
+            link = next(l for l in payload["documents"][0]["links"] if l[0] == "l10")
+            link[column] = value
+
+        path = rewrite(workspace, corrupt)
+        assert main(["-c", "corpus use fixture; check orphans in 1"]) == 1
+        assert capsys.readouterr().out == (
+            f"error: cannot read {path}: not a tmlwb corpus (documents[0] "
+            f"'all_relations.tml', ValueError: unknown {unknown})\n")
+
     @pytest.mark.parametrize("text", ['[]', '7', '"version"', 'null'])
     def test_top_level_not_an_object(self, store, corpus, workspace, capsys, text):
         store.save_corpus(corpus)
