@@ -36,7 +36,7 @@ PROMPT = "tmlwb> "
 
 HELP_TEXT = """\
 Commands:
-  corpus import <dir> [as <name>] [fold <none|cavat|sputlink|compact>]
+  corpus import <dir> [as <name>] [fold <none|cavat|compact>]
   corpus list | corpus use <name> | corpus info | corpus delete <name>
   show <list|distribution|state> of <tag> <field>
        [where <field> is [not] <value|filled|empty> | is unfilled]
@@ -321,9 +321,6 @@ def _execute_corpus(session: Session, cmd: Command) -> str:
     if warned:
         lines.append(f"warnings: {sum(warned)} in {len(warned)} "
                      f"document{'s' if len(warned) > 1 else ''}")
-    if fold.name == "sputlink" and not fold.mapping:
-        lines.insert(0, "warning: sputlink fold table is empty (placeholder "
-                        "file); no links were rewritten")
     for skipped in corpus.skipped:
         lines.append(f"skipped: {skipped}")
     return "\n".join(lines)

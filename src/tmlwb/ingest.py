@@ -60,37 +60,12 @@ COMPACT_FOLD = FoldScheme("compact", {
 NO_FOLD = FoldScheme("none", {})
 
 
-def load_fold_file(path: Path | str, name: str) -> FoldScheme:
-    """Load a fold table from a text file: ORIGINAL<TAB>TARGET<TAB>swap|noswap."""
-    mapping: dict[str, tuple[str, bool]] = {}
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise LoadError(f"{path}:{lineno}: expected ORIGINAL<TAB>TARGET<TAB>swap|noswap")
-        original, target, swap = (p.strip() for p in parts)
-        original, target = original.upper(), target.upper()
-        if original not in TLINK_RELATIONS or target not in TLINK_RELATIONS:
-            raise LoadError(f"{path}:{lineno}: unknown relation type")
-        if swap not in ("swap", "noswap"):
-            raise LoadError(f"{path}:{lineno}: third column must be swap or noswap")
-        mapping[original] = (target, swap == "swap")
-    return FoldScheme(name, mapping)
-
-
 def get_fold_scheme(name: str) -> FoldScheme:
-    """Look up a fold scheme by name (none, cavat, compact, sputlink)."""
-    name = name.lower()
-    builtin = {"none": NO_FOLD, "cavat": CAVAT_FOLD, "compact": COMPACT_FOLD}
-    if name in builtin:
-        return builtin[name]
-    if name == "sputlink":
-        return load_fold_file(Path(__file__).with_name("data") / "folds" / "sputlink.fold",
-                              "sputlink")
-    raise LoadError(f"unknown fold scheme {name!r}; available: none, cavat, compact, sputlink")
+    """Look up a fold scheme by name (none, cavat, compact)."""
+    name, folds = name.lower(), {fold.name: fold for fold in (NO_FOLD, CAVAT_FOLD, COMPACT_FOLD)}
+    if name not in folds:
+        raise LoadError(f"unknown fold scheme {name!r}; available: {', '.join(folds)}")
+    return folds[name]
 
 
 def apply_fold(doc: Document, scheme: FoldScheme) -> Document:

@@ -1,5 +1,10 @@
 """The `show` report family: list, distribution and state reports with
-`where` filters, derived attributes, granularity and output formats."""
+`where` filters, derived attributes, granularity and output formats.
+
+`run_query` returns every report as one `Table(header, rows, total)`. Its
+rows are tuples of strings, each starting with its group's label ("" for
+the whole corpus), and `total` is the number of occurrences counted (None
+for a list). `format_report` renders a table on screen, as csv or as tex."""
 from __future__ import annotations
 
 import csv
@@ -8,6 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, repeat
+from typing import NamedTuple
 
 from .errors import QueryError
 from .model import Corpus, INSTANCE_SOURCED, LINK_ARGS
@@ -75,43 +81,13 @@ def _validate_field(tag: str, field: str) -> None:
             + ", ".join(TAG_FIELDS[tag]))
 
 
-@dataclass
-class ReportRow:
-    value: str
-    frequency: int
-    proportion: float  # fraction of the group total
-    group: str | None = None
-
-
-@dataclass
-class DistributionResult:
-    rows: list[ReportRow]
-    total: int
-
-
-@dataclass
-class StateGroup:
-    filled: int
-    unfilled: int
-    group: str | None = None
-
-
-@dataclass
-class StateResult:
-    groups: list[StateGroup]
-
-    @property
-    def filled(self) -> int:
-        return sum(g.filled for g in self.groups)
-
-    @property
-    def unfilled(self) -> int:
-        return sum(g.unfilled for g in self.groups)
-
-
-@dataclass
-class ListResult:
-    rows: list[tuple[str | None, str]]  # (group, value)
+class Table(NamedTuple):
+    """A report: a header and rows of strings, each row starting with its
+    group's label ("" for the whole corpus), and the number of occurrences
+    counted (None for a list)."""
+    header: tuple[str, ...]
+    rows: list[tuple[str, ...]]
+    total: int | None
 
 
 # -- one pass over a tag's occurrences ------------------------------------
@@ -172,17 +148,17 @@ class _Memo(dict):
         return result
 
 
-def _label(group: str | tuple[str, int] | None) -> str | None:
+def _label(group: str | tuple[str, int] | None) -> str:
     """A group's label; a sentence group's is "filename:n", or "filename:-"."""
     if isinstance(group, tuple):
         return f"{group[0]}:{'-' if group[1] < 0 else group[1]}"
-    return group
+    return group or ""
 
 
-def report_distribution(corpus: Corpus, q: Query) -> DistributionResult:
+def report_distribution(corpus: Corpus, q: Query) -> Table:
     """One row per distinct non-absent value, sorted by group, then by
-    frequency descending, then by value; proportions are fractions of the
-    group total. With min_freq, the rarer values of a group fold into one
+    frequency descending, then by value; proportions are of the group
+    total. With min_freq, the rarer values of a group fold into one
     "Other" row at its end."""
     least = q.min_freq or 0  # frequencies are at least 1, so 0 folds nothing
     totals: dict = {}
@@ -199,33 +175,42 @@ def report_distribution(corpus: Corpus, q: Query) -> DistributionResult:
     keys.extend((group, 0, "Other", n) for group, n in folded.items())
     keys.sort()
     labels = {group: _label(group) for group in totals}
-    rows = [ReportRow(value, n, n / totals[group], labels[group])
-            for group, _, value, n in keys]
-    return DistributionResult(rows, sum(totals.values()))
+    percent = _Memo(lambda fraction: format_percent(fraction) + "%")
+    return Table(("Group", "Value", "Frequency", "Proportion"),
+                 [(labels[group], value, str(n), percent[n / totals[group]])
+                  for group, _, value, n in keys], sum(totals.values()))
 
 
-def report_state(corpus: Corpus, q: Query) -> StateResult:
-    """Filled/unfilled occurrence counts for one field, per group."""
+def report_state(corpus: Corpus, q: Query) -> Table:
+    """Filled and unfilled occurrence counts for one field, two rows per
+    group; if nothing was counted, two corpus rows with proportion "-"."""
     states: dict = {}  # group -> [filled, unfilled]
     for (group, value), n in _value_counts(corpus, q).items():
         states.setdefault(group, [0, 0])[value is None] += n
-    groups = [StateGroup(*states[group], _label(group)) for group in sorted(states)]
-    return StateResult(groups or [StateGroup(0, 0, None)])
+    percent = _Memo(lambda fraction: format_percent(fraction) + "%")
+    names = (f"{q.field} filled", f"{q.field} unfilled")
+    rows = []
+    for group in sorted(states):
+        (filled, unfilled), label = states[group], _label(group)
+        rows += ((label, names[0], str(filled), percent[filled / (filled + unfilled)]),
+                 (label, names[1], str(unfilled), percent[unfilled / (filled + unfilled)]))
+    return Table(("Group", "State", "Count", "Proportion"),
+                 rows or [("", name, "0", "-") for name in names],
+                 sum(map(sum, states.values())))
 
 
-def report_list(corpus: Corpus, q: Query) -> ListResult:
+def report_list(corpus: Corpus, q: Query) -> Table:
     """Sorted distinct non-absent values, per group."""
     labels = _Memo(_label)
-    return ListResult([(labels[group], value) for group, value in
-                       sorted(key for key in _value_counts(corpus, q) if key[1] is not None)])
+    return Table(("Group", "Value"),
+                 [(labels[group], value) for group, value in
+                  sorted(key for key in _value_counts(corpus, q) if key[1] is not None)],
+                 None)
 
 
-def run_query(corpus: Corpus, q: Query):
-    if q.report == "distribution":
-        return report_distribution(corpus, q)
-    if q.report == "state":
-        return report_state(corpus, q)
-    return report_list(corpus, q)
+def run_query(corpus: Corpus, q: Query) -> Table:
+    return {"distribution": report_distribution, "state": report_state,
+            "list": report_list}[q.report](corpus, q)
 
 
 # -- formatting -----------------------------------------------------------
@@ -243,15 +228,26 @@ def format_percent(fraction: float) -> str:
     return f"{rounded:.{decimals}f}"
 
 
-def format_report(result, q: Query) -> str:
-    """Render a report result in the query's output format."""
-    if isinstance(result, DistributionResult):
-        return _format_distribution(result, q)
-    if isinstance(result, StateResult):
-        return _format_state(result, q)
-    if isinstance(result, ListResult):
-        return _format_list(result, q)
-    raise TypeError(f"not a report result: {result!r}")
+def format_report(table: Table, q: Query) -> str:
+    """Render a report table in the query's output format."""
+    if q.fmt == "screen" and q.report == "state":
+        width = len(f"{q.field} unfilled")
+        lines = [f"  Count  State of {q.tag.capitalize()} {q.field}", " " + "=" * 43]
+        lines.extend([f"{count:>7}  {f'[{group}] ' if group else ''}{state:<{width}}"
+                      f" ({pct.rstrip('%')}%)" for group, state, count, pct in table.rows])
+        return "\n".join(lines)
+    header, rows = table.header[1:], table.rows
+    if q.granularity == "corpus":
+        rows = [row[1:] for row in rows]
+    else:
+        header = ("Document" if q.granularity == "document" else "Sentence", *header)
+    if q.fmt == "csv":
+        return _csv(header, rows)
+    if q.fmt == "tex":
+        return _tex(header, rows, _title(q), table.total)
+    if q.report == "list" and q.granularity == "corpus":
+        return "\n".join(row[0] for row in rows)
+    return _screen(header, rows)
 
 
 def _title(q: Query) -> str:
@@ -267,71 +263,18 @@ def _title(q: Query) -> str:
     return title
 
 
-def _grouped(q: Query, header: list[str], table: list[tuple[str, ...]]):
-    """The header and rows of a report's table. Each row of table starts with
-    its group, which is dropped from a report of the whole corpus."""
-    if q.granularity == "corpus":
-        return header, [row[1:] for row in table]
-    return [("Document" if q.granularity == "document" else "Sentence"), *header], table
-
-
-def _format_distribution(result: DistributionResult, q: Query) -> str:
-    percent = _Memo(lambda fraction: format_percent(fraction) + "%")
-    header, table = _grouped(q, ["Value", "Frequency", "Proportion"], [
-        (row.group or "", row.value, str(row.frequency), percent[row.proportion])
-        for row in result.rows])
-    if q.fmt == "csv":
-        return _csv(header, table)
-    if q.fmt == "tex":
-        return _tex(header, table, _title(q), result.total)
-    return _screen(header, table, numeric={len(header) - 2})
-
-
-def _format_state(result: StateResult, q: Query) -> str:
-    percent = _Memo(format_percent)
-    # (group, state, count, percentage without its sign; "-" if no occurrences)
-    states = [(g.group, f"{q.field} {state}", count,
-               percent[count / (g.filled + g.unfilled)] if g.filled + g.unfilled else "-")
-              for g in result.groups
-              for state, count in (("filled", g.filled), ("unfilled", g.unfilled))]
-    if q.fmt == "screen":
-        width = len(f"{q.field} unfilled")
-        lines = [f"  Count  State of {q.tag.capitalize()} {q.field}", " " + "=" * 43]
-        lines.extend([f"{count:7d}  {f'[{group}] ' if group else ''}{state:<{width}} ({pct}%)"
-                      for group, state, count, pct in states])
-        return "\n".join(lines)
-    header, table = _grouped(q, ["State", "Count", "Proportion"], [
-        (group or "", state, str(count), pct if pct == "-" else pct + "%")
-        for group, state, count, pct in states])
-    if q.fmt == "csv":
-        return _csv(header, table)
-    return _tex(header, table, _title(q), result.filled + result.unfilled)
-
-
-def _format_list(result: ListResult, q: Query) -> str:
-    header, table = _grouped(q, ["Value"], [(group or "", value)
-                                            for group, value in result.rows])
-    if q.fmt == "csv":
-        return _csv(header, table)
-    if q.fmt == "tex":
-        return _tex(header, table, _title(q))
-    if q.granularity != "corpus":
-        return _screen(header, table, numeric=set())
-    return "\n".join(value for _, value in result.rows)
-
-
-def _screen(header: list[str], rows: list[tuple[str, ...]], numeric: set[int]) -> str:
+def _screen(header: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
     widths = [max(map(len, column)) for column in zip(header, *rows)]
-    # one format template aligns every row: numeric columns right, others left
-    template = " " + "  ".join(f"{{:{'>' if i in numeric else '<'}{width}}}"
-                               for i, width in enumerate(widths))
+    # one format template aligns every row: frequencies right, others left
+    template = " " + "  ".join(f"{{:{'>' if name == 'Frequency' else '<'}{width}}}"
+                               for name, width in zip(header, widths))
     lines = [template.format(*header).rstrip(),
              " " + "=" * (sum(widths) + 2 * (len(widths) - 1))]
     lines.extend([template.format(*r).rstrip() for r in rows])
     return "\n".join(lines)
 
 
-def _csv(header: list[str], rows: list[list[str]]) -> str:
+def _csv(header: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -345,8 +288,8 @@ _TEX_ESCAPES = str.maketrans({
 })
 
 
-def _tex(header: list[str], rows: list[tuple[str, ...]], caption: str,
-         total: int | None = None) -> str:
+def _tex(header: tuple[str, ...], rows: list[tuple[str, ...]], caption: str,
+         total: int | None) -> str:
     label = "tab:" + "".join(c if c.isalnum() else "-" for c in caption).strip("-")
     columns = " | ".join(["l"] + ["r"] * (len(header) - 1))
     escape = _Memo(lambda text: text.translate(_TEX_ESCAPES)).__getitem__

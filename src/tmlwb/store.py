@@ -46,10 +46,10 @@ the wrong type (a doc_id that is not an int, an id or a reference to one
 that is not a str, a shape index that is not an int or names no shape, a
 value row that is not a list of str as long as its shape, a shape name that
 is not a str, a link kind outside LINK_ARGS, an argument kind other than
-INSTANCE or TIMEX, a TLINK relation type outside TLINK_RELATIONS, surfaces or
-lemmas that are not a str, a token count other than the sum of the
-sentence lengths, warnings that are not a list, a filename or warning that
-is not a str) as not a tmlwb corpus, so no command fails on it later, and
+INSTANCE or TIMEX or that LINK_ARGS does not allow in its place, a TLINK
+relation type outside TLINK_RELATIONS, surfaces or lemmas that are not a
+str, a token count other than the sum of the sentence lengths, warnings that
+are not a list, a filename or warning that is not a str) as not a tmlwb corpus, so no command fails on it later, and
 the refusal names the index and filename of the failing document record.
 corpus_fingerprint is the sha256 of the payload save_corpus writes, so a
 corpus has one encoding and its fingerprint is the hash of its stored
@@ -92,6 +92,9 @@ ENV_HOME = "TMLWB_HOME"
 DEFAULT_HOME = "~/.tml-workbench"
 _ENTRY_KEYS = {"documents", "note", "imported"}
 STORE_VERSION = 3
+# the (link kind, arg1 kind, arg2 kind) triples that LINK_ARGS allows
+_LINK_TRIPLES = {(kind, kind1, kind2) for kind, (arg1, arg2) in LINK_ARGS.items()
+                 for _, kind1 in arg1 for _, kind2 in arg2}
 
 
 def check_corpus_name(name: str) -> None:
@@ -446,9 +449,11 @@ def _doc_from_disk(payload: dict) -> Document:
         raise ValueError("a value row and its shape differ in length")
     "".join(chain.from_iterable(chain(shapes, rows)))
     kinds = set(map(itemgetter(1, 2), links))
-    arg_kinds = {*map(itemgetter(3), links), *map(itemgetter(5), links)}
+    triples = set(map(itemgetter(1, 3, 5), links))
+    arg_kinds = {arg_kind for _, *pair in triples for arg_kind in pair}
     for what, unknown in (("link kind", {kind for kind, _ in kinds} - LINK_ARGS.keys()),
                           ("argument kind", arg_kinds - {INSTANCE, TIMEX}),
+                          ("(link kind, arg1 kind, arg2 kind)", triples - _LINK_TRIPLES),
                           ("TLINK relation type", {rel for kind, rel in kinds
                                                    if kind == "TLINK"} - TLINK_RELATIONS)):
         if unknown:

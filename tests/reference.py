@@ -11,8 +11,8 @@ compare them against.
   one-pass reports of tmlwb.query. It builds one occurrence object per tag
   occurrence with a dict of the fields the query needs, reads XML
   attributes by scanning every key of the tag's raw attribute dict, then
-  filters and groups in separate passes. Only the result classes are
-  shared with tmlwb.query, so that format_report renders both alike.
+  filters and groups in separate passes. Only the Table record and
+  format_percent are shared with tmlwb.query.
 - tlink_to_assertions, interval_axioms and document_assertions: the
   point assertions of a TLINK, an interval and a document over named
   points (interval_id, START|END), instantiated from
@@ -61,10 +61,7 @@ from tmlwb.point_algebra import (
     END, START, TLINK_POINT_MAP, _A, _B, Assertion, ConsistencyResult, Point,
     find,
 )
-from tmlwb.query import (
-    DistributionResult, Filter, ListResult, Query, ReportRow, StateGroup,
-    StateResult,
-)
+from tmlwb.query import Filter, Query, Table, format_percent
 
 
 WORD = re.compile(r"\S+")  # a token
@@ -281,12 +278,12 @@ def _grouped(corpus, q: Query):
     if q.filter is not None:
         occurrences = [o for o in occurrences
                        if _matches(o.values.get(q.filter.field), q.filter)]
-    groups: dict[tuple, tuple[str | None, list[_Occurrence]]] = {}
+    groups: dict[tuple, tuple[str, list[_Occurrence]]] = {}
     for occ in occurrences:
         # documents sort by filename, and sentences by number within their
         # document, after the sentence-less "-" group (False < True)
         if q.granularity == "corpus":
-            order, label = (), None
+            order, label = (), ""
         elif q.granularity == "document":
             order, label = (occ.doc.filename,), occ.doc.filename
         elif occ.sentence is None:
@@ -298,21 +295,24 @@ def _grouped(corpus, q: Query):
     return [groups[order] for order in sorted(groups)]
 
 
-def run_query(corpus, q: Query):
-    """The report result of tmlwb.query.run_query, computed per occurrence."""
+def run_query(corpus, q: Query) -> Table:
+    """The report table of tmlwb.query.run_query, computed per occurrence."""
     if q.report == "state":
-        groups = []
-        for group, occs in _grouped(corpus, q):
+        rows, total = [], 0
+        for group, occs in _grouped(corpus, q) or [("", [])]:
             filled = sum(1 for o in occs if o.values[q.field] not in (None, ""))
-            groups.append(StateGroup(filled, len(occs) - filled, group))
-        return StateResult(groups or [StateGroup(0, 0, None)])
+            total += len(occs)
+            for state, count in (("filled", filled), ("unfilled", len(occs) - filled)):
+                rows.append((group, f"{q.field} {state}", str(count),
+                             format_percent(count / len(occs)) + "%" if occs else "-"))
+        return Table(("Group", "State", "Count", "Proportion"), rows, total)
     if q.report == "list":
         rows = []
         for group, occs in _grouped(corpus, q):
             values = sorted({o.values[q.field] for o in occs
                              if o.values[q.field] not in (None, "")})
             rows.extend((group, v) for v in values)
-        return ListResult(rows)
+        return Table(("Group", "Value"), rows, None)
     rows, total = [], 0
     for group, occs in _grouped(corpus, q):
         counts = Counter(o.values[q.field] for o in occs
@@ -324,8 +324,9 @@ def run_query(corpus, q: Query):
             kept = [(v, n) for v, n in ordered if n >= q.min_freq]
             folded = sum(n for _, n in ordered if n < q.min_freq)
             ordered = kept + ([("Other", folded)] if folded else [])
-        rows.extend(ReportRow(v, n, n / group_total, group) for v, n in ordered)
-    return DistributionResult(rows, total)
+        rows.extend((group, v, str(n), format_percent(n / group_total) + "%")
+                    for v, n in ordered)
+    return Table(("Group", "Value", "Frequency", "Proportion"), rows, total)
 
 
 # -- point assertions over named points --------------------------------------

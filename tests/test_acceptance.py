@@ -123,7 +123,8 @@ def test_criterion_08_report_engine(corpus):
         flt = Filter(rng.choice(TAG_FIELDS[tag]), "filled") if rng.random() < 0.5 else None
         d = report_distribution(corpus, Query("distribution", tag, field, filter=flt))
         s = report_state(corpus, Query("state", tag, field, filter=flt))
-        assert d.total == s.filled
+        assert d.total == sum(int(n) for _, state, n, _ in s.rows
+                              if state.endswith(" filled"))
     passed(8, "report engine counts, formats and property")
 
 
@@ -158,13 +159,13 @@ def test_criterion_10_timebank():
     assert len(timebank.documents) == 183
 
     dist = report_distribution(timebank, Query("distribution", "tlink", "reltype"))
-    counts = {r.value: r.frequency for r in dist.rows}
+    counts = {value: int(n) for _, value, n, _ in dist.rows}
     assert dist.total == 6418
     assert counts["BEFORE"] == 1408
     assert counts["DURING_INV"] == 1
 
     state = report_state(timebank, Query("state", "tlink", "signalid"))
-    assert (state.filled, state.unfilled) == (718, 5700)
+    assert [n for _, _, n, _ in state.rows] == ["718", "5700"]
 
     pos = report_distribution(timebank, Query("distribution", "event", "pos"))
     assert pos.total == 7940

@@ -13,9 +13,10 @@ from tmlwb.browse import (
     _TEXT_ESCAPES, _quoteattr, browse_tag, select_document, serialize_tag,
     show_link_context,
 )
-from tmlwb.errors import CommandError
+from tmlwb.errors import CommandError, StoreError
 from tmlwb.ingest import CAVAT_FOLD, COMPACT_FOLD, apply_fold
-from tmlwb.model import INSTANCE, LINK_ARGS, TIMEX, Document, IntervalRef, Link
+from tmlwb.model import INSTANCE, LINK_ARGS, TIMEX, Corpus, Document, IntervalRef, Link
+from tmlwb.store import Store
 
 from reference import fragment_normal_form, link_arg_attr_names, tag_normal_form
 
@@ -93,7 +94,8 @@ class TestSerializeRoundTrip:
 
 class TestLinkAttributeNames:
     """serialize_tag names a link's arguments as link_arg_attr_names of the
-    tests' reference does, for every shape of link that a load accepts."""
+    tests' reference does, for every shape of link that a load accepts. A
+    load refuses the others: an SLINK with a TIMEX arg2."""
 
     KINDS = ("TLINK", "SLINK", "ALINK")
     SHAPES = list(itertools.product((INSTANCE, TIMEX), repeat=2))
@@ -108,9 +110,15 @@ class TestLinkAttributeNames:
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("kind1, kind2", SHAPES)
-    def test_every_link_shape(self, kind, kind1, kind2):
+    def test_every_link_shape(self, kind, kind1, kind2, tmp_path):
         link = Link("l1", kind, "BEFORE", IntervalRef(kind1, "a"), IntervalRef(kind2, "b"))
         doc = Document(1, "d.tml", links={"l1": link})
+        if kind2 not in {arg_kind for _, arg_kind in LINK_ARGS[kind][1]}:
+            store = Store(tmp_path)
+            store.save_corpus(Corpus("c", "fold=none", [doc]))
+            with pytest.raises(StoreError, match=r"unknown \(link kind, arg1 kind, arg2 kind\)"):
+                store.load_corpus("c")
+            return
         fragment = serialize_tag(doc, kind.lower(), "l1")
         assert fragment_normal_form(fragment) == self.expected(link)
 
@@ -225,9 +233,9 @@ class TestEscapes:
         assert found == "[]\n"
 
     def test_cli_imports_no_importlib_resources(self):
-        """The sputlink fold file is read by its path, so importlib.resources
-        and its submodules stay out of every tmlwb process. -S keeps out the
-        site hooks, whose .pth files may import it themselves."""
+        """tmlwb reads no package data, so importlib.resources and its
+        submodules stay out of every tmlwb process. -S keeps out the site
+        hooks, whose .pth files may import it themselves."""
         src = Path(tmlwb.__file__).resolve().parent.parent
         found = subprocess.run(
             [sys.executable, "-S", "-c", "import sys, tmlwb.cli; print(sorted(m for m in "

@@ -274,9 +274,12 @@ class TestCorpusCommands:
         assert "No corpora in workspace." in out
 
     def test_sputlink_placeholder_warns(self, workspace):
+        """The empty sputlink fold is gone: it is an unknown scheme now."""
         sess = Session(store=Store())
-        _, out = run(sess, [f"corpus import {FIXTURE_DIR} as sp fold sputlink"])
-        assert "sputlink fold table is empty" in out
+        code, out = run(sess, [f"corpus import {FIXTURE_DIR} as sp fold sputlink"])
+        assert code == 1
+        assert out.strip() == ("error: unknown fold scheme 'sputlink'; "
+                               "available: none, cavat, compact")
 
     def test_import_duplicate_name_refused(self, session):
         code, out = run(session, [f"corpus import {FIXTURE_DIR} as fix"])

@@ -10,7 +10,7 @@ from tmlwb import tokenizer
 from tmlwb.errors import LoadError
 from tmlwb.ingest import (
     CAVAT_FOLD, COMPACT_FOLD, NO_FOLD, apply_fold, get_fold_scheme,
-    import_corpus, load_fold_file, parse_document,
+    import_corpus, parse_document,
 )
 from tmlwb.model import INSTANCE, TIMEX, IntervalRef
 
@@ -425,31 +425,6 @@ class TestImportCorpus:
 
 
 class TestFoldFiles:
-    def test_load_fold_file(self, tmp_path):
-        path = tmp_path / "custom.fold"
-        path.write_text("# collapse inverses\nAFTER\tBEFORE\tswap\n"
-                        "IS_INCLUDED\tINCLUDES\tswap\n")
-        scheme = load_fold_file(path, "custom")
-        assert scheme.mapping == {"AFTER": ("BEFORE", True),
-                                  "IS_INCLUDED": ("INCLUDES", True)}
-        assert fold_lossless(scheme.mapping)
-
-    def test_bad_relation_rejected(self, tmp_path):
-        path = tmp_path / "bad.fold"
-        path.write_text("OVERLAPS\tBEFORE\tswap\n")
-        with pytest.raises(LoadError):
-            load_fold_file(path, "bad")
-
-    def test_bad_swap_column(self, tmp_path):
-        path = tmp_path / "bad.fold"
-        path.write_text("AFTER\tBEFORE\tmaybe\n")
-        with pytest.raises(LoadError):
-            load_fold_file(path, "bad")
-
-    def test_sputlink_placeholder(self):
-        scheme = get_fold_scheme("sputlink")
-        assert scheme.mapping == {}
-
     def test_unknown_scheme(self):
         with pytest.raises(LoadError):
             get_fold_scheme("mystery")

@@ -5,6 +5,7 @@ import pytest
 
 import reference
 from tmlwb.errors import QueryError
+from tmlwb.ingest import get_fold_scheme, import_corpus
 from tmlwb.model import (
     INSTANCE, TIMEX, Corpus, Document, Event, EventInstance, IntervalRef, Link,
     Signal, Timex3,
@@ -14,18 +15,29 @@ from tmlwb.query import (
     format_report, report_distribution, report_list, report_state, run_query,
 )
 
-from conftest import golden_check
+from conftest import FIXTURE_DIR, golden_check
+from test_report_space import _queries as report_space
 
 
 def dist(corpus, tag, field, **kw):
     return report_distribution(corpus, Query("distribution", tag, field, **kw))
 
 
+def frequencies(table):
+    """{value: frequency} of a distribution table's rows."""
+    return {value: int(n) for _, value, n, _ in table.rows}
+
+
+def filled(table):
+    """The filled count of a state table, summed over its groups."""
+    return sum(int(n) for _, state, n, _ in table.rows if state.endswith(" filled"))
+
+
 class TestDistribution:
     def test_tlink_reltype_counts(self, corpus):
         result = dist(corpus, "tlink", "reltype")
         assert result.total == 28
-        counts = {r.value: r.frequency for r in result.rows}
+        counts = frequencies(result)
         assert counts["BEFORE"] == 8
         assert counts["INCLUDES"] == 3
         assert counts["IS_INCLUDED"] == 3
@@ -33,23 +45,25 @@ class TestDistribution:
 
     def test_sorted_by_frequency_then_value(self, corpus):
         rows = dist(corpus, "tlink", "reltype").rows
-        keys = [(-r.frequency, r.value) for r in rows]
+        keys = [(-int(n), value) for _, value, n, _ in rows]
         assert keys == sorted(keys)
 
     def test_event_pos_counts_instances(self, corpus):
         result = dist(corpus, "event", "pos")
         assert result.total == sum(len(d.instances) for d in corpus.documents) == 17
-        counts = {r.value: r.frequency for r in result.rows}
-        assert counts == {"NOUN": 11, "VERB": 6}
+        assert frequencies(result) == {"NOUN": 11, "VERB": 6}
 
     def test_proportions_sum_to_one(self, corpus):
-        rows = dist(corpus, "tlink", "reltype").rows
-        assert sum(r.proportion for r in rows) == pytest.approx(1.0, abs=1e-9)
+        result = dist(corpus, "tlink", "reltype")
+        assert [p for *_, p in result.rows] == [
+            format_percent(int(n) / result.total) + "%" for _, _, n, _ in result.rows]
+        assert sum(int(n) for _, _, n, _ in result.rows) == result.total
+        assert sum(float(p[:-1]) for *_, p in result.rows) == pytest.approx(100, abs=0.1)
 
     def test_signaltext_filtered_by_reltype(self, corpus):
         result = dist(corpus, "tlink", "signaltext",
                       filter=Filter("reltype", "is", "before"))
-        assert [(r.value, r.frequency) for r in result.rows] == [("before", 1)]
+        assert [(value, n) for _, value, n, _ in result.rows] == [("before", "1")]
 
     def test_empty_corpus(self):
         empty = Corpus("empty", "fold=none")
@@ -58,16 +72,16 @@ class TestDistribution:
 
     def test_min_freq_folds_other(self, corpus):
         result = dist(corpus, "tlink", "reltype", min_freq=2)
-        other = result.rows[-1]
-        assert other.value == "Other"
-        assert other.frequency == 8  # the eight singleton relation types
+        _, value, n, _ = result.rows[-1]
+        assert value == "Other"
+        assert n == "8"  # the eight singleton relation types
         assert result.total == 28
 
     def test_by_document_granularity(self, corpus):
         result = dist(corpus, "tlink", "reltype", granularity="document")
-        groups = {r.group for r in result.rows}
+        groups = {group for group, *_ in result.rows}
         assert "consistent.tml" in groups
-        assert sum(r.frequency for r in result.rows) == 28
+        assert sum(int(n) for _, _, n, _ in result.rows) == 28
 
 
 class TestSentenceGroupOrder:
@@ -94,30 +108,31 @@ class TestSentenceGroupOrder:
     def test_numeric_order(self, corpus, report):
         q = Query(report, "event", "class", granularity="sentence")
         result = run_query(corpus, q)
-        groups = ([g.group for g in result.groups] if report == "state"
-                  else [row.group if report == "distribution" else row[0]
-                        for row in result.rows])
+        groups = list(dict.fromkeys(group for group, *_ in result.rows))
         assert groups == ["a.tml:-", "a.tml:2", "a.tml:10", "a.tml2:1"]
-        assert format_report(result, q) == format_report(reference.run_query(corpus, q), q)
+        assert result == reference.run_query(corpus, q)
 
 
 class TestState:
     def test_tlink_signalid(self, corpus):
         result = report_state(corpus, Query("state", "tlink", "signalid"))
-        assert result.filled == 1
-        assert result.unfilled == 27
+        assert result.rows == [("", "signalid filled", "1", "3.57%"),
+                               ("", "signalid unfilled", "27", "96.4%")]
+        assert result.total == 28
 
     def test_empty_corpus(self):
         result = report_state(Corpus("empty", "fold=none"),
                               Query("state", "tlink", "signalid"))
-        assert result.filled == 0 and result.unfilled == 0
+        assert result.rows == [("", "signalid filled", "0", "-"),
+                               ("", "signalid unfilled", "0", "-")]
+        assert result.total == 0
 
     def test_state_with_filter_partitions(self, corpus):
         after = report_state(corpus, Query("state", "tlink", "signalid",
                                            filter=Filter("reltype", "is", "after")))
         total_after = sum(1 for d in corpus.documents for l in d.tlinks
                           if l.rel_type == "AFTER")
-        assert after.filled + after.unfilled == total_after == 2
+        assert after.total == sum(int(n) for _, _, n, _ in after.rows) == total_after == 2
 
 
 class TestList:
@@ -277,7 +292,7 @@ class TestRandomQueryProperty:
                 ])
             d = report_distribution(corpus, Query("distribution", tag, field, filter=flt))
             s = report_state(corpus, Query("state", tag, field, filter=flt))
-            assert d.total == s.filled
+            assert d.total == filled(s)
 
 
 def random_report_corpus(rng: random.Random, n_docs=3) -> Corpus:
@@ -337,9 +352,16 @@ def random_report_corpus(rng: random.Random, n_docs=3) -> Corpus:
 
 
 class TestMatchesReference:
-    """The one-pass reports against the per-occurrence reference
-    (tests/reference.py) on random corpora, in every report x granularity
-    x filter op, with random tags, fields, formats and filter values."""
+    """The one-pass report tables against those of the per-occurrence
+    reference (tests/reference.py): on every query of the report space over
+    the fixtures, and on random corpora in every report x granularity x
+    filter op, with random tags, fields, formats and filter values."""
+
+    @pytest.mark.parametrize("fold", ["none", "cavat"])
+    def test_report_space(self, fold):
+        corpus = import_corpus(FIXTURE_DIR, "fixture", get_fold_scheme(fold))
+        for q in report_space(corpus):
+            assert run_query(corpus, q) == reference.run_query(corpus, q), q
 
     def test_random_corpora(self):
         rng = random.Random(6006)
@@ -357,8 +379,7 @@ class TestMatchesReference:
                 q = Query(report, tag, rng.choice(TAG_FIELDS[tag]), filter=flt,
                           fmt=rng.choice(FORMATS), granularity=granularity,
                           min_freq=rng.choice([None, None, 2]))
-                assert (format_report(run_query(corpus, q), q)
-                        == format_report(reference.run_query(corpus, q), q)), q
+                assert run_query(corpus, q) == reference.run_query(corpus, q), q
         assert seen == {"case duplicates", "empty value", "dangling eventID",
                              "TLINK signalID without SIGNAL", "span without tokens"}
 

@@ -614,6 +614,30 @@ class TestFormatVersion2:
             f"error: cannot read {path}: not a tmlwb corpus (documents[0] "
             f"'all_relations.tml', ValueError: unknown {unknown})\n")
 
+    def test_slink_with_timex_arg2_refused(self, store, corpus, workspace, capsys):
+        """LINK_ARGS gives an SLINK no TIMEX arg2, so a parse never makes one.
+        Such a link used to load, and browse wrote its arg2 back as
+        subordinatedEventInstance, which a parse reads as an instance."""
+        store.save_corpus(corpus)
+
+        def corrupt(payload):
+            link = next(l for l in payload["documents"][0]["links"] if l[0] == "l10")
+            link[1] = "SLINK"  # l10 links TIMEX t19 to TIMEX t20
+
+        path = rewrite(workspace, corrupt)
+        assert main(["-c", "corpus use fixture"]) == 1
+        assert capsys.readouterr().out == (
+            f"error: cannot read {path}: not a tmlwb corpus (documents[0] "
+            "'all_relations.tml', ValueError: unknown (link kind, arg1 kind, arg2 kind) "
+            "('SLINK', 'timex', 'timex'))\n")
+
+        def allowed(payload):  # the same SLINK with an instance arg2 loads
+            link = next(l for l in payload["documents"][0]["links"] if l[0] == "l10")
+            link[5:7] = ["instance", "ei1"]
+
+        rewrite(workspace, allowed)
+        assert store.load_corpus("fixture").documents[0].links["l10"].kind == "SLINK"
+
     @pytest.mark.parametrize("text", ['[]', '7', '"version"', 'null'])
     def test_top_level_not_an_object(self, store, corpus, workspace, capsys, text):
         store.save_corpus(corpus)

@@ -67,13 +67,14 @@ def documents(draw, doc_id: int) -> Document:
         doc.timexes[f"t{i}"] = Timex3(f"t{i}", *keys_and_values(), *span())
     for i in range(draw(st.integers(0, 2))):
         doc.signals[f"s{i}"] = Signal(f"s{i}", *span())
-    refs = ([IntervalRef(INSTANCE, i) for i in [*doc.instances, "ei99"]]
-            + [IntervalRef(TIMEX, t) for t in [*doc.timexes, "t99"]])
+    instance_refs = [IntervalRef(INSTANCE, i) for i in [*doc.instances, "ei99"]]
+    refs = instance_refs + [IntervalRef(TIMEX, t) for t in [*doc.timexes, "t99"]]
     for i in range(draw(st.integers(0, 4))):
         kind = draw(st.sampled_from(["TLINK", "TLINK", "SLINK", "ALINK"]))
         doc.links[f"l{i}"] = Link(
-            f"l{i}", kind, draw(st.sampled_from(RELATIONS)),
-            draw(st.sampled_from(refs)), draw(st.sampled_from(refs)),
+            f"l{i}", kind, draw(st.sampled_from(RELATIONS)), draw(st.sampled_from(refs)),
+            # an SLINK's arg2 is an instance (model.LINK_ARGS); a load refuses a TIMEX
+            draw(st.sampled_from(instance_refs if kind == "SLINK" else refs)),
             draw(st.sampled_from([None, *doc.signals, "s99"])),
             draw(st.sampled_from([None, "USER"])))
     return doc
@@ -86,7 +87,7 @@ def corpora(draw) -> Corpus:
                   [draw(documents(doc_id)) for doc_id in range(1, count + 1)])
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(corpora())
 def test_format_3_loads_like_version_2(corpus):
     with tempfile.TemporaryDirectory() as root:
