@@ -4,7 +4,11 @@
 `run_query` returns every report as one `Table(header, rows, total)`. Its
 rows are tuples of strings, each starting with its group's label ("" for
 the whole corpus), and `total` is the number of occurrences counted (None
-for a list). `format_report` renders a table on screen, as csv or as tex."""
+for a list). `format_report` renders a table on screen, as csv or as tex.
+
+A report by sentence counts one document at a time, in filename order
+(documents that share a filename count together), and sorts and labels
+that document's sentences before it counts the next."""
 from __future__ import annotations
 
 import csv
@@ -12,7 +16,8 @@ import io
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress, groupby, repeat
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import QueryError
@@ -92,14 +97,15 @@ class Table(NamedTuple):
 
 # -- one pass over a tag's occurrences ------------------------------------
 
-def _value_counts(corpus: Corpus, q: Query) -> Counter:
+def _counts(corpus: Corpus, q: Query):
     """Occurrence counts keyed by (group, value), from the columns of the
     queried field (and of the filter's field, and of the sentence numbers)
-    over each document's pool of the queried tag. The group is None
-    (corpus), the filename, or (filename, sentence number), with -1 (shown
-    as "-") for no position, so that groups sort by filename, then sentence
-    number. Absent and empty values count under None; occurrences filtered
-    out not at all."""
+    over each document's pool of the queried tag, yielded as (name, counts)
+    in report order. A report by sentence yields the counts of each
+    filename's documents in filename order, with the sentence number as
+    the group (-1, shown as "-", for no position); any other yields one
+    (None, counts) whose group is None (corpus) or the filename. Absent and
+    empty values count under None; occurrences filtered out not at all."""
     flt = q.filter
     fields = {q.field} if flt is None else {q.field, flt.field}
     # the event/instance abstraction: instance-sourced fields make an event
@@ -107,20 +113,28 @@ def _value_counts(corpus: Corpus, q: Query) -> Counter:
     pool = ("instance" if q.tag == "event" and not fields.isdisjoint(INSTANCE_SOURCED)
             else q.tag)
     by_sentence = q.granularity == "sentence"
-    counts: Counter = Counter()
-    for doc in corpus.documents:
-        values = doc.column(pool, q.field)
-        sentences = doc.column(pool, None) if by_sentence else None
-        if flt is not None:
-            kept = _kept(doc.column(pool, flt.field), flt)
-            values = compress(values, kept)
-            if by_sentence:
-                sentences = compress(sentences, kept)
-        # the (group, value) keys are built and counted in C, not one at a time
-        groups = (zip(repeat(doc.filename), sentences) if by_sentence
-                  else repeat(doc.filename if q.granularity == "document" else None))
-        counts.update(zip(groups, values))
-    return counts
+    if by_sentence:
+        filename = attrgetter("filename")
+        batches = groupby(sorted(corpus.documents, key=filename), filename)
+    else:
+        # a document is one group here, and a Counter of its own would cost
+        # more than its shorter sort saves
+        batches = [(None, corpus.documents)]
+    for name, docs in batches:
+        counts: Counter = Counter()
+        for doc in docs:
+            values = doc.column(pool, q.field)
+            groups = (doc.column(pool, None) if by_sentence
+                      else repeat(doc.filename if q.granularity == "document" else None))
+            if flt is not None:
+                kept = _kept(doc.column(pool, flt.field), flt)
+                values = compress(values, kept)
+                if by_sentence:
+                    groups = compress(groups, kept)
+            # the (group, value) keys are built and counted in C, not one at a time
+            counts.update(zip(groups, values))
+        if counts:
+            yield name, counts
 
 
 def _kept(column: tuple[str | None, ...], flt: Filter):
@@ -148,11 +162,13 @@ class _Memo(dict):
         return result
 
 
-def _label(group: str | tuple[str, int] | None) -> str:
-    """A group's label; a sentence group's is "filename:n", or "filename:-"."""
-    if isinstance(group, tuple):
-        return f"{group[0]}:{'-' if group[1] < 0 else group[1]}"
-    return group or ""
+def _labels(name: str | None, groups) -> dict:
+    """The label of each group of one (name, counts) pair of _counts: ""
+    for the corpus, the filename for a document, and "name:n", or "name:-"
+    for -1, for a sentence of the documents named name."""
+    if name is None:
+        return {group: group or "" for group in groups}
+    return {group: f"{name}:{'-' if group < 0 else group}" for group in groups}
 
 
 def report_distribution(corpus: Corpus, q: Query) -> Table:
@@ -161,51 +177,57 @@ def report_distribution(corpus: Corpus, q: Query) -> Table:
     total. With min_freq, the rarer values of a group fold into one
     "Other" row at its end."""
     least = q.min_freq or 0  # frequencies are at least 1, so 0 folds nothing
-    totals: dict = {}
-    folded: dict = {}
-    keys = []  # (group, rank, value, frequency); rank -frequency, or 0 for Other
-    for (group, value), n in _value_counts(corpus, q).items():
-        if value is None:
-            continue
-        totals[group] = totals.get(group, 0) + n
-        if n >= least:
-            keys.append((group, -n, value, n))
-        else:
-            folded[group] = folded.get(group, 0) + n
-    keys.extend((group, 0, "Other", n) for group, n in folded.items())
-    keys.sort()
-    labels = {group: _label(group) for group in totals}
     percent = _Memo(lambda fraction: format_percent(fraction) + "%")
-    return Table(("Group", "Value", "Frequency", "Proportion"),
-                 [(labels[group], value, str(n), percent[n / totals[group]])
-                  for group, _, value, n in keys], sum(totals.values()))
+    rows, total = [], 0
+    for name, counts in _counts(corpus, q):
+        totals: dict = {}
+        folded: dict = {}
+        keys = []  # (group, rank, value, frequency); rank -frequency, or 0 for Other
+        for (group, value), n in counts.items():
+            if value is None:
+                continue
+            totals[group] = totals.get(group, 0) + n
+            if n >= least:
+                keys.append((group, -n, value, n))
+            else:
+                folded[group] = folded.get(group, 0) + n
+        keys.extend((group, 0, "Other", n) for group, n in folded.items())
+        keys.sort()
+        labels = _labels(name, totals)
+        rows += [(labels[group], value, str(n), percent[n / totals[group]])
+                 for group, _, value, n in keys]
+        total += sum(totals.values())
+    return Table(("Group", "Value", "Frequency", "Proportion"), rows, total)
 
 
 def report_state(corpus: Corpus, q: Query) -> Table:
     """Filled and unfilled occurrence counts for one field, two rows per
     group; if nothing was counted, two corpus rows with proportion "-"."""
-    states: dict = {}  # group -> [filled, unfilled]
-    for (group, value), n in _value_counts(corpus, q).items():
-        states.setdefault(group, [0, 0])[value is None] += n
     percent = _Memo(lambda fraction: format_percent(fraction) + "%")
     names = (f"{q.field} filled", f"{q.field} unfilled")
-    rows = []
-    for group in sorted(states):
-        (filled, unfilled), label = states[group], _label(group)
-        rows += ((label, names[0], str(filled), percent[filled / (filled + unfilled)]),
-                 (label, names[1], str(unfilled), percent[unfilled / (filled + unfilled)]))
+    rows, total = [], 0
+    for name, counts in _counts(corpus, q):
+        states: dict = {}  # group -> [filled, unfilled]
+        for (group, value), n in counts.items():
+            states.setdefault(group, [0, 0])[value is None] += n
+        for group, label in _labels(name, sorted(states)).items():
+            filled, unfilled = states[group]
+            count = filled + unfilled
+            rows += ((label, names[0], str(filled), percent[filled / count]),
+                     (label, names[1], str(unfilled), percent[unfilled / count]))
+            total += count
     return Table(("Group", "State", "Count", "Proportion"),
-                 rows or [("", name, "0", "-") for name in names],
-                 sum(map(sum, states.values())))
+                 rows or [("", name, "0", "-") for name in names], total)
 
 
 def report_list(corpus: Corpus, q: Query) -> Table:
     """Sorted distinct non-absent values, per group."""
-    labels = _Memo(_label)
-    return Table(("Group", "Value"),
-                 [(labels[group], value) for group, value in
-                  sorted(key for key in _value_counts(corpus, q) if key[1] is not None)],
-                 None)
+    rows = []
+    for name, counts in _counts(corpus, q):
+        keys = sorted(key for key in counts if key[1] is not None)
+        labels = _labels(name, {group for group, _ in keys})
+        rows += [(labels[group], value) for group, value in keys]
+    return Table(("Group", "Value"), rows, None)
 
 
 def run_query(corpus: Corpus, q: Query) -> Table:

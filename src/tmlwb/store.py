@@ -8,12 +8,13 @@ the TMLWB_HOME environment variable):
     corpora/<name>/corpus.json
 
 The on-disk format is private to the tool; only the save/load round trip is
-contracted. A write (import, use, delete) holds an exclusive flock on .lock
-and writes its pid and start time into it; reads take no lock. The kernel
-drops the lock when its holder exits or dies, so a crashed writer leaves a
-file that blocks no one, and the file is never removed: removing a locked
-file would let a second writer lock a new one. Where the fcntl module is
-missing (Windows), every write is refused.
+contracted. A write (import, delete, and a use of a corpus that is not
+active) holds an exclusive flock on .lock and writes its pid and start
+time into it; reads take no lock, and a use of the active corpus only
+reads. The kernel drops the lock when its holder exits or dies, so a
+crashed writer leaves a file that blocks no one, and the file is never
+removed: removing a locked file would let a second writer lock a new one.
+Where the fcntl module is missing (Windows), every write is refused.
 
 corpus.json is store format version 3, one JSON object:
 
@@ -150,8 +151,11 @@ class Store:
                 except BlockingIOError:
                     raise StoreError(f"workspace {self.root} is locked by another "
                                      f"writer{_lock_owner(lock)}") from None
-                os.ftruncate(fd, 0)
-                os.write(fd, f"{os.getpid()} {_now()}".encode("ascii"))
+                # written in place and then cut to length: a truncation to
+                # zero first can cost tens of ms on some file systems
+                owner = f"{os.getpid()} {_now()}".encode("ascii")
+                os.pwrite(fd, owner, 0)
+                os.ftruncate(fd, len(owner))
             yield
         finally:
             os.close(fd)  # which releases the lock
@@ -222,8 +226,9 @@ class Store:
             }
             self._write_catalog_raw(raw)
 
-    def load_corpus(self, name: str) -> Corpus:
-        raw = self._read_catalog_raw()
+    def load_corpus(self, name: str, catalog: dict | None = None) -> Corpus:
+        """Load a stored corpus; catalog is the catalog if already read."""
+        raw = self._read_catalog_raw() if catalog is None else catalog
         if name not in raw["entries"]:
             available = ", ".join(sorted(raw["entries"])) or "(none)"
             raise StoreError(f"unknown corpus {name!r}; available: {available}")
@@ -232,12 +237,15 @@ class Store:
             return _corpus_from_file(path, name)
 
     def use_corpus(self, name: str) -> Corpus:
-        """Load a corpus and mark it active for subsequent sessions."""
-        corpus = self.load_corpus(name)
-        with self._write_lock():
-            raw = self._read_catalog_raw()
-            raw["active"] = name
-            self._write_catalog_raw(raw)
+        """Load a corpus and mark it active for subsequent sessions. Using
+        the active corpus only reads: it takes no lock and writes nothing."""
+        raw = self._read_catalog_raw()
+        corpus = self.load_corpus(name, raw)
+        if raw["active"] != name:
+            with self._write_lock():
+                raw = self._read_catalog_raw()
+                raw["active"] = name
+                self._write_catalog_raw(raw)
         return corpus
 
     def delete_corpus(self, name: str) -> None:

@@ -299,7 +299,10 @@ def random_report_corpus(rng: random.Random, n_docs=3) -> Corpus:
     """A corpus of documents built tag by tag, with the oddities reports
     must survive: attribute names that differ only in case, empty values,
     MAKEINSTANCEs whose eventID dangles or is empty, links whose signalID
-    names no SIGNAL or whose arguments dangle, and spans with no tokens."""
+    names no SIGNAL or whose arguments dangle, spans with no tokens,
+    documents stored out of filename order, documents that share a
+    filename, and filenames whose order is not that of their doc_ids
+    ("d10.tml" before "d2.tml")."""
     values = ["a", "A", "b", "B b", ""]
 
     def attrs(id_attr, tag_id, names):
@@ -311,8 +314,10 @@ def random_report_corpus(rng: random.Random, n_docs=3) -> Corpus:
         return out
 
     corpus = Corpus("random", "fold=none")
-    for d in range(n_docs):
-        doc = Document(doc_id=d + 1, filename=f"d{d}.tml")
+    doc_ids = rng.sample([1, 2, 10, 11, 20], n_docs)  # in storage order
+    for doc_id in doc_ids:
+        number = doc_id if rng.random() < 0.8 else rng.choice(doc_ids)
+        doc = Document(doc_id=doc_id, filename=f"d{number}.tml")
         for _ in range(rng.randint(1, 12)):
             for _ in range(rng.randint(1, 4)):
                 doc.surfaces.append(rng.choice(["Ran", "ran", "x", "then"]))
@@ -381,10 +386,20 @@ class TestMatchesReference:
                           min_freq=rng.choice([None, None, 2]))
                 assert run_query(corpus, q) == reference.run_query(corpus, q), q
         assert seen == {"case duplicates", "empty value", "dangling eventID",
-                             "TLINK signalID without SIGNAL", "span without tokens"}
+                        "TLINK signalID without SIGNAL", "span without tokens",
+                        "stored out of filename order", "shared filename",
+                        "filename order is not doc_id order"}
 
 
 def _oddities(corpus):
+    names = [doc.filename for doc in corpus.documents]
+    if names != sorted(names):
+        yield "stored out of filename order"
+    if len(set(names)) < len(names):
+        yield "shared filename"
+    by_id = [doc.filename for doc in sorted(corpus.documents, key=lambda d: d.doc_id)]
+    if by_id != sorted(by_id):
+        yield "filename order is not doc_id order"
     for doc in corpus.documents:
         for tag in [*doc.events.values(), *doc.instances.values(), *doc.timexes.values()]:
             if len({k.lower() for k in tag.attrs}) < len(tag.attrs):

@@ -240,16 +240,35 @@ class TestLocking:
         assert str(exc.value).endswith("is locked by another writer" + owner)
 
     def test_lock_written_while_held(self, store, corpus, workspace, monkeypatch):
+        """The owner replaces a longer one that the file held before."""
+        workspace.mkdir(parents=True, exist_ok=True)
+        (workspace / ".lock").write_text("9999999 2026-10-18T05:17:35 and more\n",
+                                         encoding="ascii")
         seen = []
         monkeypatch.setattr(Store, "_write_catalog_raw", lambda self, raw: seen.append(
             (workspace / ".lock").read_text(encoding="ascii")))
         store.save_corpus(corpus)
-        pid, since = seen[0].split()
+        pid, since = seen[0].split(" ")  # and nothing of the longer owner after
         assert int(pid) == os.getpid()
         time.strptime(since, "%Y-%m-%dT%H:%M:%S")
         # the file stays, and the lock is released
         assert (workspace / ".lock").exists()
         assert_unlocked(workspace)
+
+    def test_use_of_active_corpus_only_reads(self, store, corpus, workspace):
+        """Using the active corpus takes no lock and leaves the catalog as it
+        is, so a held lock refuses only a use that changes the selection."""
+        store.save_corpus(corpus)
+        store.save_corpus(replace(corpus, name="other"))
+        store.use_corpus("fixture")
+        catalog = workspace / "catalog.json"
+        before = catalog.read_bytes(), catalog.stat().st_mtime_ns
+        with lock_holder():
+            assert store.use_corpus("fixture").name == "fixture"
+            assert (catalog.read_bytes(), catalog.stat().st_mtime_ns) == before
+            with pytest.raises(StoreError, match="is locked by another writer"):
+                store.use_corpus("other")
+        assert store.active_corpus_name() == "fixture"
 
     def test_readers_ignore_lock(self, store, corpus, workspace, capsys):
         store.save_corpus(corpus)
@@ -269,6 +288,18 @@ class TestLocking:
             "locks, so tmlwb can only read corpora\n")
         assert store.load_corpus("fixture").name == "fixture"
         assert [e.name for e in store.list_corpora().entries] == ["fixture"]
+
+    def test_no_fcntl_uses_active_corpus_only(self, store, corpus, monkeypatch):
+        """Where fcntl is missing, the active corpus can still be used, since
+        that writes nothing, and a use of another corpus is refused."""
+        store.save_corpus(corpus)
+        store.save_corpus(replace(corpus, name="other"))
+        store.use_corpus("fixture")
+        monkeypatch.setattr(tmlwb.store, "fcntl", None)
+        assert store.use_corpus("fixture").name == "fixture"
+        with pytest.raises(StoreError, match="no fcntl file locks"):
+            store.use_corpus("other")
+        assert store.active_corpus_name() == "fixture"
 
 
 class TestCrashSafety:
